@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchsmoke fabric-smoke cover fuzz fuzzsmoke chaos-smoke crash-smoke failover-smoke daemon-smoke nemesis-smoke storm-smoke clean
+.PHONY: all build test cpu-matrix race bench benchsmoke fabric-smoke cover fuzz fuzzsmoke chaos-smoke crash-smoke failover-smoke daemon-smoke nemesis-smoke storm-smoke clean
 
 all: build test
 
@@ -13,6 +13,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Determinism across core counts: the packages whose outputs must be
+# bit-identical at any worker count, run under GOMAXPROCS 1, 2 and 4.
+cpu-matrix:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/parallel/ ./internal/survival/ ./internal/montecarlo/ \
+		./internal/runtime/ ./internal/experiments/ ./internal/nemesis/ ./cmd/drschaos/
 
 # Race-detector pass over every package. The packet-level campaigns
 # are slow under the detector, so long-running cases honour -short;

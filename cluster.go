@@ -149,8 +149,8 @@ func (c *Cluster) FailNIC(node, rail int) error {
 	if err := c.checkRail(rail); err != nil {
 		return err
 	}
-	net := c.rt.Network()
-	net.Fail(net.Cluster().NIC(node, rail))
+	net := c.rt.Net()
+	net.Fail(net.Fabric().NIC(node, rail))
 	return nil
 }
 
@@ -162,8 +162,8 @@ func (c *Cluster) RestoreNIC(node, rail int) error {
 	if err := c.checkRail(rail); err != nil {
 		return err
 	}
-	net := c.rt.Network()
-	net.Restore(net.Cluster().NIC(node, rail))
+	net := c.rt.Net()
+	net.Restore(net.Fabric().NIC(node, rail))
 	return nil
 }
 
@@ -172,8 +172,8 @@ func (c *Cluster) FailBackplane(rail int) error {
 	if err := c.checkRail(rail); err != nil {
 		return err
 	}
-	net := c.rt.Network()
-	net.Fail(net.Cluster().Backplane(rail))
+	net := c.rt.Net()
+	net.Fail(net.Fabric().Switch(rail))
 	return nil
 }
 
@@ -182,8 +182,8 @@ func (c *Cluster) RestoreBackplane(rail int) error {
 	if err := c.checkRail(rail); err != nil {
 		return err
 	}
-	net := c.rt.Network()
-	net.Restore(net.Cluster().Backplane(rail))
+	net := c.rt.Net()
+	net.Restore(net.Fabric().Switch(rail))
 	return nil
 }
 
@@ -254,7 +254,7 @@ func (c *Cluster) Utilization(rail int) (float64, error) {
 	if err := c.checkRail(rail); err != nil {
 		return 0, err
 	}
-	return c.rt.Network().Utilization(rail), nil
+	return c.rt.Net().Utilization(rail), nil
 }
 
 // Stop halts every daemon. The cluster can still be inspected but no

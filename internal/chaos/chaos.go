@@ -9,7 +9,7 @@
 // whose transmit side dies while receive keeps working, a backplane
 // that delivers 95% of frames, a link that flaps faster than the
 // routing protocol can converge. This package schedules exactly those
-// against a netsim.Network, deterministically: episodes fire at fixed
+// against any netsim.Net, deterministically: episodes fire at fixed
 // simulated times, and the per-frame randomness (which frame is lost
 // or corrupted) comes from the network's own seeded impairment stream,
 // so a chaos campaign is bit-identical across runs and worker counts.
@@ -36,8 +36,8 @@ import (
 //     period; each period it is down for FlapPeriod×FlapDuty and up
 //     for the remainder, starting down at Start.
 type Spec struct {
-	// Comp is the NIC or backplane being tormented (topology numbering
-	// for the run's cluster shape).
+	// Comp is the component being tormented (the run's fabric
+	// numbering: a NIC, back plane, switch or trunk).
 	Comp topology.Component
 	// Start is when the episode begins.
 	Start time.Duration
@@ -71,20 +71,11 @@ func (s *Spec) downFor() time.Duration {
 	return time.Duration(float64(s.FlapPeriod) * duty)
 }
 
-// Validate checks the spec against a cluster shape. The index i is
-// used in error messages so callers can report which entry of a
-// schedule is broken.
-func (s *Spec) Validate(cl topology.Cluster, i int) error {
-	if int(s.Comp) < 0 || int(s.Comp) >= cl.Components() {
-		return fmt.Errorf("chaos: spec[%d]: component %d outside universe of %d (cluster %d×%d)",
-			i, int(s.Comp), cl.Components(), cl.Nodes, cl.Rails)
-	}
-	return s.validateBody(cl.Name(s.Comp), i)
-}
-
-// ValidateFabric checks the spec against a switched fabric, where the
-// component universe also contains switches and trunks.
-func (s *Spec) ValidateFabric(f *topology.Fabric, i int) error {
+// Validate checks the spec against a network's component universe —
+// a dual-rail cluster's via topology.FromCluster. The index i is used
+// in error messages so callers can report which entry of a schedule
+// is broken.
+func (s *Spec) Validate(f *topology.Fabric, i int) error {
 	if int(s.Comp) < 0 || int(s.Comp) >= f.Components() {
 		return fmt.Errorf("chaos: spec[%d]: component %d outside universe of %d (%s fabric, %d hosts)",
 			i, int(s.Comp), f.Components(), f.Kind, f.Hosts())
@@ -132,20 +123,10 @@ func (s *Spec) validateBody(name string, i int) error {
 	return nil
 }
 
-// Validate checks a whole schedule against a cluster shape.
-func Validate(specs []Spec, cl topology.Cluster) error {
+// Validate checks a whole schedule against a component universe.
+func Validate(specs []Spec, f *topology.Fabric) error {
 	for i := range specs {
-		if err := specs[i].Validate(cl, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ValidateFabric checks a whole schedule against a switched fabric.
-func ValidateFabric(specs []Spec, f *topology.Fabric) error {
-	for i := range specs {
-		if err := specs[i].ValidateFabric(f, i); err != nil {
+		if err := specs[i].Validate(f, i); err != nil {
 			return err
 		}
 	}
@@ -163,15 +144,9 @@ type Injector struct {
 }
 
 // NewInjector validates the schedule against the network's component
-// universe and returns an injector ready to Schedule. A dual-rail
-// Network validates against its cluster shape (preserving the classic
-// error messages); any other Net validates against its fabric.
+// universe and returns an injector ready to Schedule.
 func NewInjector(net netsim.Net, specs []Spec) (*Injector, error) {
-	if nw, ok := net.(*netsim.Network); ok {
-		if err := Validate(specs, nw.Cluster()); err != nil {
-			return nil, err
-		}
-	} else if err := ValidateFabric(specs, net.Fabric()); err != nil {
+	if err := Validate(specs, net.Fabric()); err != nil {
 		return nil, err
 	}
 	return &Injector{sched: net.Scheduler(), net: net, specs: specs}, nil

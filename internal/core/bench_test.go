@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 )
 
 // The hot paths of the DRS daemon, benchmarked through the public API
@@ -82,7 +83,7 @@ func BenchmarkQueryOfferChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := routeQuery{Origin: 1, Target: 2, Seq: uint32(i + 1), TTL: 1}
-		payload := routing.Envelope(routing.ProtoControl, marshalQuery(q))
+		payload := wire.Envelope(wire.ProtoControl, marshalQuery(q))
 		if err := c.net.Send(1, 0, 0, payload); err != nil {
 			b.Fatal(err)
 		}

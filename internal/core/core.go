@@ -52,6 +52,7 @@ import (
 	"drsnet/internal/overload"
 	"drsnet/internal/routetable"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
 )
 
@@ -303,16 +304,16 @@ func (d *Daemon) RTT(peer, rail int) (RTTStats, bool) {
 // Phase 2: answer requests, fix problems (frame dispatch).
 
 func (d *Daemon) onFrame(rail, src int, payload []byte) {
-	proto, body, err := routing.SplitEnvelope(payload)
+	proto, body, err := wire.SplitEnvelope(payload)
 	if err != nil {
 		return
 	}
 	switch proto {
-	case routing.ProtoICMP:
+	case wire.ProtoICMP:
 		d.onICMP(rail, src, body)
-	case routing.ProtoControl:
+	case wire.ProtoControl:
 		d.onControl(rail, src, body)
-	case routing.ProtoData:
+	case wire.ProtoData:
 		d.onData(rail, src, body)
 	}
 }
@@ -329,7 +330,7 @@ func (d *Daemon) onICMP(rail, src int, body []byte) {
 		// call (see noteAlive).
 		reply, err := icmp.Reply(echo)
 		if err == nil {
-			_ = d.tr.Send(rail, src, routing.Envelope(routing.ProtoICMP, reply.Marshal()))
+			_ = d.tr.Send(rail, src, wire.Envelope(wire.ProtoICMP, reply.Marshal()))
 		}
 		d.noteAlive(rail, src)
 		return

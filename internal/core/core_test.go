@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/conn"
 	"drsnet/internal/netsim"
 	"drsnet/internal/rng"
@@ -12,6 +13,7 @@ import (
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // cluster is a DRS test harness: n daemons over a simulated dual-rail
@@ -48,10 +50,10 @@ func newClusterShape(t testing.TB, shape topology.Cluster, cfg Config) *cluster 
 		log:       trace.NewLog(0),
 	}
 	cfg.Trace = c.log
-	clock := routing.SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	for node := 0; node < shape.Nodes; node++ {
 		node := node
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(transport.NewSim(net, node), clk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +372,7 @@ func TestMonitorSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg)
+	d, err := New(transport.NewSim(net, 0), clock.Sim{Sched: sched}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,9 +395,9 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := routing.NewSimNode(net, 0)
-	clock := routing.SimClock{Sched: sched}
-	if _, err := New(nil, clock, DefaultConfig()); err == nil {
+	tr := transport.NewSim(net, 0)
+	clk := clock.Sim{Sched: sched}
+	if _, err := New(nil, clk, DefaultConfig()); err == nil {
 		t.Error("nil transport accepted")
 	}
 	for name, mutate := range map[string]func(*Config){
@@ -409,11 +411,11 @@ func TestConfigValidation(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		mutate(&cfg)
-		if _, err := New(tr, clock, cfg); err == nil {
+		if _, err := New(tr, clk, cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	d, err := New(tr, clock, DefaultConfig())
+	d, err := New(tr, clk, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/netsim"
 	"drsnet/internal/routing"
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // lifecycleDaemon builds a single daemon on a fresh simulated network,
@@ -26,7 +28,7 @@ func lifecycleDaemon(t *testing.T, nodes int, cfg Config) (*Daemon, *trace.Log) 
 	}
 	log := trace.NewLog(0)
 	cfg.Trace = log
-	d, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg)
+	d, err := New(transport.NewSim(net, 0), clock.Sim{Sched: sched}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,8 @@ func TestWarmRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := routing.NewSimNode(net, 0)
-	clock := routing.SimClock{Sched: sched}
+	tr := transport.NewSim(net, 0)
+	clk := clock.Sim{Sched: sched}
 	valid := func() *Checkpoint {
 		return &Checkpoint{Node: 0, Incarnation: 1, Peers: []PeerState{
 			{Peer: 1, Route: Route{Kind: RouteDirect, Rail: 1, Via: 1}, Rails: make([]RailState, 2)},
@@ -106,7 +108,7 @@ func TestWarmRestoreValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Incarnation = 2
 	cfg.Restore = valid()
-	if _, err := New(tr, clock, cfg); err != nil {
+	if _, err := New(tr, clk, cfg); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
 
@@ -138,7 +140,7 @@ func TestWarmRestoreValidation(t *testing.T) {
 		cfg.Incarnation = tc.incarnation
 		cfg.Restore = valid()
 		tc.mutate(cfg.Restore)
-		_, err := New(tr, clock, cfg)
+		_, err := New(tr, clk, cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.wantErr)
 		}
@@ -169,7 +171,7 @@ func TestWarmRestoreSeedsPreviousLife(t *testing.T) {
 	cfg2.Incarnation = 2
 	cfg2.Restore = cp
 	cfg2.Trace = c.log
-	d, err := New(routing.NewSimNode(c.net, 0), routing.SimClock{Sched: c.sched}, cfg2)
+	d, err := New(transport.NewSim(c.net, 0), clock.Sim{Sched: c.sched}, cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,7 @@ func TestWarmRestoreDynamicReaddsPeers(t *testing.T) {
 		Route:       Route{Kind: RouteDirect, Rail: 1, Via: 1},
 		Rails:       []RailState{{Up: true}, {Up: false}},
 	}}}
-	d, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg)
+	d, err := New(transport.NewSim(net, 0), clock.Sim{Sched: sched}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func (m *Tracker) StaleIncarnation(peer int, inc uint32) bool {
 // Announce broadcasts a hello on every rail so unknown peers learn
 // the sender (and the sender learns them from their hellos).
 func Announce(tr routing.Transport) {
-	hello := routing.Envelope(routing.ProtoControl, wire.MarshalHello())
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalHello())
 	for rail := 0; rail < tr.Rails(); rail++ {
 		_ = tr.Send(rail, routing.Broadcast, hello)
 	}
@@ -89,7 +89,7 @@ func Announce(tr routing.Transport) {
 // AnnounceInc broadcasts an incarnation-stamped hello on every rail
 // (the lifecycle-enabled variant of Announce).
 func AnnounceInc(tr routing.Transport, inc uint32) {
-	hello := routing.Envelope(routing.ProtoControl, wire.MarshalHelloInc(inc))
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalHelloInc(inc))
 	for rail := 0; rail < tr.Rails(); rail++ {
 		_ = tr.Send(rail, routing.Broadcast, hello)
 	}
@@ -97,7 +97,7 @@ func AnnounceInc(tr routing.Transport, inc uint32) {
 
 // Goodbye broadcasts a departure announcement on every rail.
 func Goodbye(tr routing.Transport) {
-	bye := routing.Envelope(routing.ProtoControl, wire.MarshalGoodbye())
+	bye := wire.Envelope(wire.ProtoControl, wire.MarshalGoodbye())
 	for rail := 0; rail < tr.Rails(); rail++ {
 		_ = tr.Send(rail, routing.Broadcast, bye)
 	}
@@ -107,7 +107,7 @@ func Goodbye(tr routing.Transport) {
 // handshake a recovering daemon opens with, telling peers its new
 // incarnation so they purge state from the previous life.
 func Rejoin(tr routing.Transport, inc uint32) {
-	msg := routing.Envelope(routing.ProtoControl, wire.MarshalRejoin(inc))
+	msg := wire.Envelope(wire.ProtoControl, wire.MarshalRejoin(inc))
 	for rail := 0; rail < tr.Rails(); rail++ {
 		_ = tr.Send(rail, routing.Broadcast, msg)
 	}

@@ -4,10 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/netsim"
-	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // dynamicCluster builds daemons with dynamic membership and an empty
@@ -21,10 +23,10 @@ func dynamicCluster(t *testing.T, n int, cfg Config) *cluster {
 		t.Fatal(err)
 	}
 	c := &cluster{sched: sched, net: net, delivered: make([][]msg, n)}
-	clock := routing.SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(transport.NewSim(net, node), clk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,10 +80,10 @@ func TestDynamicLateJoiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	var daemons []*Daemon
 	for node := 0; node < 4; node++ {
-		d, err := New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := New(transport.NewSim(net, node), clk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,8 +189,8 @@ func TestStaticSeedsNeverForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
-	d, err := New(routing.NewSimNode(net, 0), clock, cfg)
+	clk := clock.Sim{Sched: sched}
+	d, err := New(transport.NewSim(net, 0), clk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +240,8 @@ func TestStaticModeIgnoresHellos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
-	d, err := New(routing.NewSimNode(net, 0), clock, cfg)
+	clk := clock.Sim{Sched: sched}
+	d, err := New(transport.NewSim(net, 0), clk, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +249,7 @@ func TestStaticModeIgnoresHellos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Stop()
-	if err := net.Send(2, 0, 0, routing.Envelope(routing.ProtoControl, marshalHello())); err != nil {
+	if err := net.Send(2, 0, 0, wire.Envelope(wire.ProtoControl, marshalHello())); err != nil {
 		t.Fatal(err)
 	}
 	sched.RunUntil(simtime.Time(time.Second))
@@ -266,7 +268,7 @@ func TestDynamicConfigValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DynamicMembership = true
 	cfg.ForgetAfter = -time.Second
-	if _, err := New(routing.NewSimNode(net, 0), routing.SimClock{Sched: sched}, cfg); err == nil {
+	if _, err := New(transport.NewSim(net, 0), clock.Sim{Sched: sched}, cfg); err == nil {
 		t.Fatal("negative ForgetAfter accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"drsnet/internal/dataplane"
 	"drsnet/internal/icmp"
 	"drsnet/internal/routing"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
 )
 
@@ -165,7 +166,7 @@ func probeFrame(self, seq uint16, now time.Duration) []byte {
 	ts := make([]byte, 8)
 	binary.BigEndian.PutUint64(ts, uint64(now))
 	echo := icmp.Echo{Request: true, ID: self, Seq: seq, Data: ts}
-	return routing.Envelope(routing.ProtoICMP, echo.Marshal())
+	return wire.Envelope(wire.ProtoICMP, echo.Marshal())
 }
 
 // steerByLatencyLocked moves direct routes to a clearly faster rail.
@@ -379,7 +380,7 @@ func (d *Daemon) sendQueryLocked(peer int, now time.Duration) {
 		Seq:    q.Seq,
 		TTL:    uint8(d.cfg.RelayTTL),
 	}
-	payload := routing.Envelope(routing.ProtoControl, marshalQuery(query))
+	payload := wire.Envelope(wire.ProtoControl, marshalQuery(query))
 	for rail := 0; rail < d.tr.Rails(); rail++ {
 		if err := d.tr.Send(rail, routing.Broadcast, payload); err == nil {
 			d.mset.Counter(routing.CtrQueriesSent).Inc()

@@ -294,7 +294,7 @@ func ProbeOverhead(n int, probeInterval, duration time.Duration, switched bool) 
 	}
 	cluster.RunUntil(duration)
 	cluster.StopRouters()
-	measured = cluster.Network().Utilization(0)
+	measured = cluster.Net().Utilization(0)
 
 	params := costmodel.Defaults()
 	params.OrderedPairs = true

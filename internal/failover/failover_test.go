@@ -11,6 +11,7 @@ import (
 	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // carrier adapts one node's view of the network to the Sensor oracle,
@@ -50,7 +51,7 @@ func newCluster(t *testing.T, n int, build func(tr routing.Transport, s failover
 	net.SetTap(c.checker)
 	for node := 0; node < n; node++ {
 		node := node
-		r, err := build(routing.NewSimNode(net, node), carrier{net, node})
+		r, err := build(transport.NewSim(net, node), carrier{net, node})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,11 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/netsim"
 	"drsnet/internal/routing"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // rig is a DRS cluster with a flow from node 0 to node 1.
@@ -32,20 +34,20 @@ func newRig(t *testing.T, nodes int, probe time.Duration, lossRate float64, fcfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	r := &rig{sched: sched, net: net}
 	var endpoints []*Endpoint
 	for node := 0; node < nodes; node++ {
 		cfg := core.DefaultConfig()
 		cfg.ProbeInterval = probe
-		d, err := core.New(routing.NewSimNode(net, node), clock, cfg)
+		d, err := core.New(transport.NewSim(net, node), clk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Start(); err != nil {
 			t.Fatal(err)
 		}
-		ep, err := NewEndpoint(d, clock)
+		ep, err := NewEndpoint(d, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,16 +176,16 @@ func TestFlowDiesOnStaticOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	mk := func(node int) *Endpoint {
-		s, err := routing.NewStatic(routing.NewSimNode(net, node), 0)
+		s, err := routing.NewStatic(transport.NewSim(net, node), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		ep, err := NewEndpoint(s, clock)
+		ep, err := NewEndpoint(s, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,15 +258,15 @@ func TestEndpointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := routing.SimClock{Sched: sched}
-	s, err := routing.NewStatic(routing.NewSimNode(net, 0), 0)
+	clk := clock.Sim{Sched: sched}
+	s, err := routing.NewStatic(transport.NewSim(net, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEndpoint(nil, clock); err == nil {
+	if _, err := NewEndpoint(nil, clk); err == nil {
 		t.Error("nil router accepted")
 	}
-	ep, err := NewEndpoint(s, clock)
+	ep, err := NewEndpoint(s, clk)
 	if err != nil {
 		t.Fatal(err)
 	}

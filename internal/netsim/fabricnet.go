@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"time"
 
-	"drsnet/internal/rng"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -28,24 +26,17 @@ import (
 // link — and pays Params.Latency propagation per link. Each link
 // direction has its own busy clock, so disjoint paths never contend.
 //
-// Failure semantics mirror Network: NICs fail per-direction (gray
-// failures), switches and trunks fail whole, FailNode blackholes a
-// host's traffic without touching electrical state, and impairments
-// (loss/corrupt/delay/jitter) attach to any component, applied at
-// each crossing. Randomness is drawn only when an impairment or loss
-// process is configured, so healthy runs are byte-identical across
-// refactors.
+// Failure semantics are Network's, from the same component core: NICs
+// fail per-direction (gray failures), switches and trunks fail whole,
+// FailNode blackholes a host's traffic without touching electrical
+// state, and an impairment (loss/corrupt/delay/jitter) on any
+// component is drawn once per frame crossing it — the sender's NIC
+// and entry switch at send, each trunk and the switch behind it when
+// the frame is forwarded onto the trunk, the receiver's NIC at
+// arrival. Randomness is drawn only when an impairment or loss process
+// is configured, so healthy runs are byte-identical across refactors.
 type FabricNet struct {
-	sched  *simtime.Scheduler
-	fab    *topology.Fabric
-	params Params
-
-	nicTx, nicRx []bool // per dense NIC id
-	swUp         []bool
-	trkUp        []bool
-	nodeUp       []bool
-	handler      []Handler
-	tap          Tap
+	components
 
 	// Busy clocks, one per link direction.
 	nicBusyUp   []simtime.Time // host → switch
@@ -53,16 +44,11 @@ type FabricNet struct {
 	trkBusyAB   []simtime.Time
 	trkBusyBA   []simtime.Time
 
-	rnd    *rng.Source
-	impRnd *rng.Source
-	imp    map[topology.Component]Impairment
-
 	stats SegmentStats
 
 	// Routing tables: per destination host, the next trunk from every
-	// switch toward the destination's nearest live attachment switch.
-	// epoch invalidates all tables whenever component state changes.
-	epoch  uint64
+	// switch toward the destination's nearest live attachment switch,
+	// valid while its epoch matches the component state's.
 	routes []*fabricRoute
 
 	// Pooled in-flight events and the pre-bound hop callback.
@@ -86,7 +72,7 @@ type fabricRoute struct {
 // hopEvent carries one in-flight frame between fabric elements.
 type hopEvent struct {
 	fr      Frame // Rail is the ingress port; Dst is the final host
-	sw      int32 // switch the frame is arriving at (stage switchHop)
+	sw      int32 // switch the frame is arriving at (stage 0)
 	nic     int32 // NIC link being crossed (stages 1 and 2)
 	stage   int8  // 0 = at switch, 1 = at host, 2 = post-impairment-delay
 	corrupt bool  // a crossing drew a corruption; mangle at delivery
@@ -96,82 +82,26 @@ type hopEvent struct {
 // NewFabricNet builds a healthy fabric network on the scheduler.
 // Params.Switched is ignored — a fabric is switched by construction.
 func NewFabricNet(sched *simtime.Scheduler, fab *topology.Fabric, params Params, seed uint64) (*FabricNet, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("netsim: nil scheduler")
-	}
 	if fab == nil {
 		return nil, fmt.Errorf("netsim: nil fabric")
 	}
 	if err := fab.Validate(); err != nil {
 		return nil, err
 	}
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
 	nics := fab.Hosts() * fab.Ports()
 	n := &FabricNet{
-		sched:       sched,
-		fab:         fab,
-		params:      params,
-		nicTx:       make([]bool, nics),
-		nicRx:       make([]bool, nics),
-		swUp:        make([]bool, fab.Switches()),
-		trkUp:       make([]bool, fab.Trunks()),
-		nodeUp:      make([]bool, fab.Hosts()),
-		handler:     make([]Handler, fab.Hosts()),
 		nicBusyUp:   make([]simtime.Time, nics),
 		nicBusyDown: make([]simtime.Time, nics),
 		trkBusyAB:   make([]simtime.Time, fab.Trunks()),
 		trkBusyBA:   make([]simtime.Time, fab.Trunks()),
-		rnd:         rng.New(seed),
 		routes:      make([]*fabricRoute, fab.Hosts()),
 	}
-	n.impRnd = n.rnd.Split(0xc4a05)
+	if err := n.components.init(sched, fab, params, seed); err != nil {
+		return nil, err
+	}
 	n.hopFn = n.hop
-	for i := range n.nicTx {
-		n.nicTx[i], n.nicRx[i] = true, true
-	}
-	for i := range n.swUp {
-		n.swUp[i] = true
-	}
-	for i := range n.trkUp {
-		n.trkUp[i] = true
-	}
-	for i := range n.nodeUp {
-		n.nodeUp[i] = true
-	}
 	return n, nil
 }
-
-// Fabric returns the fabric shape.
-func (n *FabricNet) Fabric() *topology.Fabric { return n.fab }
-
-// Nodes returns the number of hosts.
-func (n *FabricNet) Nodes() int { return n.fab.Hosts() }
-
-// Rails returns the number of NIC ports per host.
-func (n *FabricNet) Rails() int { return n.fab.Ports() }
-
-// Scheduler returns the driving scheduler.
-func (n *FabricNet) Scheduler() *simtime.Scheduler { return n.sched }
-
-// SetHandler installs the frame handler for host.
-func (n *FabricNet) SetHandler(host int, h Handler) {
-	n.checkHost(host)
-	n.handler[host] = h
-}
-
-// SetTap installs (or removes) the frame observer.
-func (n *FabricNet) SetTap(t Tap) { n.tap = t }
-
-func (n *FabricNet) checkHost(h int) {
-	if h < 0 || h >= n.fab.Hosts() {
-		panic(fmt.Sprintf("netsim: host %d out of range [0,%d)", h, n.fab.Hosts()))
-	}
-}
-
-// invalidateRoutes marks every cached routing table stale.
-func (n *FabricNet) invalidateRoutes() { n.epoch++ }
 
 // routeFor returns dst's converged routing table, rebuilding it if
 // component state changed since it was computed. The rebuild is a
@@ -228,48 +158,17 @@ func (n *FabricNet) routeFor(dst int) *fabricRoute {
 // Broadcast). Semantics mirror Network.Send: the call never blocks
 // and drops are silent but counted.
 func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
-	n.checkHost(src)
-	if rail < 0 || rail >= n.fab.Ports() {
-		return fmt.Errorf("netsim: rail %d out of range", rail)
+	if err := n.checkSend(src, rail, dst); err != nil {
+		return err
 	}
-	if dst != Broadcast {
-		n.checkHost(dst)
-		if dst == src {
-			return fmt.Errorf("netsim: node %d sending to itself", src)
-		}
-	}
-	n.stats.FramesSent++
-	if n.tap != nil {
-		n.tap.FrameSent(n.sched.Now().Duration(), Frame{Src: src, Dst: dst, Rail: rail, Payload: payload})
-	}
-	if !n.nodeUp[src] {
-		n.stats.DroppedNodeDown++
+	data, extra, ok := n.egress(&n.stats, src, rail, dst, payload)
+	if !ok {
 		return nil
 	}
-	nic := src*n.fab.Ports() + rail
-	if !n.nicTx[nic] {
-		n.stats.DroppedTxNIC++
-		return nil
-	}
-	entry := n.fab.HostSwitch(src, rail)
-	if !n.swUp[entry] {
-		n.stats.DroppedSegment++
-		return nil
-	}
-	drop, extra, corrupt := n.impair2(n.fab.NIC(src, rail), n.fab.Switch(entry))
-	if drop {
-		n.stats.DroppedImpaired++
-		return nil
-	}
-
 	txTime, bits := n.wireTime(len(payload))
-	data := append([]byte(nil), payload...)
-	if corrupt {
-		n.mangleFabric(data)
-		n.stats.Corrupted++
-	}
 
 	// Serialize once on the sender's NIC link, then fan out.
+	nic := src*n.fab.Ports() + rail
 	start := n.sched.Now()
 	if n.nicBusyUp[nic] > start {
 		start = n.nicBusyUp[nic]
@@ -278,6 +177,7 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 	n.nicBusyUp[nic] = end
 	n.stats.BitsSent += bits
 	arrive := end.Add(n.params.Latency + extra)
+	entry := int32(n.fab.HostSwitch(src, rail))
 
 	if dst == Broadcast {
 		// Replicate toward every other host, ascending, sharing the
@@ -287,27 +187,16 @@ func (n *FabricNet) Send(src, rail, dst int, payload []byte) error {
 				continue
 			}
 			fr := Frame{Src: src, Dst: h, Rail: rail, Payload: data}
-			n.schedHop(arrive, &hopEvent{fr: fr, sw: int32(entry), stage: 0})
+			n.schedHop(arrive, &hopEvent{fr: fr, sw: entry, stage: 0})
 		}
 		return nil
 	}
 	fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
-	n.schedHop(arrive, &hopEvent{fr: fr, sw: int32(entry), stage: 0})
+	n.schedHop(arrive, &hopEvent{fr: fr, sw: entry, stage: 0})
 	return nil
 }
 
-// wireTime returns the serialization time and on-wire bits of a
-// payload under the fabric's parameters.
-func (n *FabricNet) wireTime(payloadLen int) (time.Duration, float64) {
-	wire := payloadLen + n.params.OverheadBytes
-	if wire < n.params.MinFrameBytes {
-		wire = n.params.MinFrameBytes
-	}
-	return time.Duration(float64(wire*8) / n.params.Rate * float64(time.Second)), float64(wire * 8)
-}
-
-// schedHop schedules ev (recycling from the freelist when the caller
-// built it on the stack is not possible — see allocHop) at time at.
+// schedHop schedules a pooled copy of ev at time at.
 func (n *FabricNet) schedHop(at simtime.Time, ev *hopEvent) {
 	p := n.allocHop()
 	*p = hopEvent{fr: ev.fr, sw: ev.sw, nic: ev.nic, stage: ev.stage, corrupt: ev.corrupt}
@@ -355,13 +244,9 @@ func (n *FabricNet) switchArrive(e hopEvent) {
 	rt := n.routeFor(e.fr.Dst)
 	switch {
 	case rt.downNIC[sw] >= 0:
-		// Attachment switch: serialize down the host link.
+		// Attachment switch: serialize down the host link. The
+		// receiver's NIC impairment is drawn once, at host arrival.
 		nic := rt.downNIC[sw]
-		drop, extra, corrupt := n.impair1(n.fab.NIC(int(nic)/n.fab.Ports(), int(nic)%n.fab.Ports()))
-		if drop {
-			n.stats.DroppedImpaired++
-			return
-		}
 		txTime, bits := n.wireTime(len(e.fr.Payload))
 		start := n.sched.Now()
 		if n.nicBusyDown[nic] > start {
@@ -372,8 +257,7 @@ func (n *FabricNet) switchArrive(e hopEvent) {
 		n.stats.BitsSent += bits
 		e.nic = nic
 		e.stage = 1
-		e.corrupt = e.corrupt || corrupt
-		n.schedHop(end.Add(n.params.Latency+extra), &e)
+		n.schedHop(end.Add(n.params.Latency), &e)
 	case rt.trunk[sw] >= 0:
 		t := int(rt.trunk[sw])
 		if !n.trkUp[t] {
@@ -392,7 +276,9 @@ func (n *FabricNet) switchArrive(e hopEvent) {
 			n.stats.DroppedSegment++
 			return
 		}
-		drop, extra, corrupt := n.impair1(n.fab.TrunkComp(t))
+		// The frame crosses the trunk and then the switch behind it:
+		// draw both, in that order.
+		drop, extra, corrupt := n.drawTx2(n.fab.TrunkComp(t), n.fab.Switch(peer))
 		if drop {
 			n.stats.DroppedImpaired++
 			return
@@ -414,247 +300,43 @@ func (n *FabricNet) switchArrive(e hopEvent) {
 	}
 }
 
-// hostArrive is the final hop into the receiver, mirroring Network's
-// deliverTo: the receive-side NIC impairment is drawn here, and a
-// delayed frame re-checks component state when the delay elapses.
+// hostArrive is the frame's arrival at the receiver, mirroring
+// Network.deliverTo: the receive-side NIC impairment is drawn here,
+// and a frame it delays is checked against component state only when
+// the delay elapses.
 func (n *FabricNet) hostArrive(e hopEvent) {
-	if !n.nicRx[e.nic] {
-		n.stats.DroppedRxNIC++
+	drop, extra, corrupt := n.drawRx(topology.Component(e.nic))
+	if drop {
+		n.stats.DroppedImpaired++
 		return
 	}
-	if !n.nodeUp[e.fr.Dst] {
-		n.stats.DroppedNodeDown++
+	e.corrupt = e.corrupt || corrupt
+	if extra > 0 {
+		e.stage = 2
+		n.schedHop(n.sched.Now().Add(extra), &e)
 		return
 	}
-	corrupt := e.corrupt
-	if n.imp != nil {
-		if imp, ok := n.imp[topology.Component(e.nic)]; ok {
-			if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-				n.stats.DroppedImpaired++
-				return
-			}
-			if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-				corrupt = true
-			}
-			extra := imp.Delay
-			if imp.Jitter > 0 {
-				extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-			}
-			if extra > 0 {
-				// Stage 2 skips the impairment draw — the delay has
-				// already been applied — but re-checks NIC and process
-				// state at the deferred instant, like completeDelivery.
-				e.corrupt = corrupt
-				e.stage = 2
-				n.schedHop(n.sched.Now().Add(extra), &e)
-				return
-			}
-		}
-	}
-	n.finishDelivery(e, corrupt)
+	n.hostFinal(e)
 }
 
-// hostFinal completes a delivery that an rx impairment delayed.
+// hostFinal is the final hop into the receiver, mirroring
+// Network.completeDelivery: process and NIC state are checked at the
+// actual delivery instant.
 func (n *FabricNet) hostFinal(e hopEvent) {
-	if !n.nicRx[e.nic] {
-		n.stats.DroppedRxNIC++
-		return
-	}
 	if !n.nodeUp[e.fr.Dst] {
 		n.stats.DroppedNodeDown++
 		return
 	}
-	n.finishDelivery(e, e.corrupt)
-}
-
-func (n *FabricNet) finishDelivery(e hopEvent, corrupt bool) {
-	if n.params.LossRate > 0 && n.rnd.Float64() < n.params.LossRate {
-		n.stats.DroppedLoss++
+	if !n.nicRx[e.nic] {
+		n.stats.DroppedRxNIC++
 		return
 	}
-	h := n.handler[e.fr.Dst]
-	if h == nil {
-		return
-	}
-	n.stats.FramesDelivered++
 	// Every delivery gets a private copy: the backing buffer is shared
 	// with broadcast siblings still in flight, and receivers may retain
-	// payloads (discovery queues do).
-	payload := append([]byte(nil), e.fr.Payload...)
-	if corrupt {
-		n.mangleFabric(payload)
-		n.stats.Corrupted++
-	}
-	// The delivery rail is the port the frame finally came in through.
-	rail := int(e.nic) % n.fab.Ports()
-	out := Frame{Src: e.fr.Src, Dst: e.fr.Dst, Rail: rail, Payload: payload}
-	if n.tap != nil {
-		n.tap.FrameDelivered(n.sched.Now().Duration(), out)
-	}
-	h(out)
-}
-
-// impair1 draws the impairment for one component crossing.
-func (n *FabricNet) impair1(c topology.Component) (drop bool, extra time.Duration, corrupt bool) {
-	if n.imp == nil {
-		return false, 0, false
-	}
-	imp, ok := n.imp[c]
-	if !ok {
-		return false, 0, false
-	}
-	if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-		return true, 0, false
-	}
-	extra = imp.Delay
-	if imp.Jitter > 0 {
-		extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-	}
-	if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-		corrupt = true
-	}
-	return false, extra, corrupt
-}
-
-// impair2 draws impairments for two components in order.
-func (n *FabricNet) impair2(a, b topology.Component) (drop bool, extra time.Duration, corrupt bool) {
-	if n.imp == nil {
-		return false, 0, false
-	}
-	d1, e1, c1 := n.impair1(a)
-	if d1 {
-		return true, 0, false
-	}
-	d2, e2, c2 := n.impair1(b)
-	if d2 {
-		return true, 0, false
-	}
-	return false, e1 + e2, c1 || c2
-}
-
-// mangleFabric flips one byte in place (see Network.mangle).
-func (n *FabricNet) mangleFabric(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	i := n.impRnd.Intn(len(data))
-	data[i] ^= byte(1 + n.impRnd.Intn(255))
-}
-
-// Fail takes a component down. Direction is meaningful only for NICs.
-func (n *FabricNet) Fail(c topology.Component) { n.FailDir(c, DirBoth) }
-
-// Restore brings a component back.
-func (n *FabricNet) Restore(c topology.Component) { n.RestoreDir(c, DirBoth) }
-
-// FailDir takes one direction of a NIC down; for switches and trunks
-// the direction is ignored and the whole component fails.
-func (n *FabricNet) FailDir(c topology.Component, dir Direction) {
-	n.setComponent(c, dir, false)
-}
-
-// RestoreDir brings one direction of a component back.
-func (n *FabricNet) RestoreDir(c topology.Component, dir Direction) {
-	n.setComponent(c, dir, true)
-}
-
-func (n *FabricNet) setComponent(c topology.Component, dir Direction, up bool) {
-	kind, a, b := n.fab.Describe(c)
-	switch kind {
-	case topology.KindNIC:
-		nic := a*n.fab.Ports() + b
-		if dir == DirBoth || dir == DirTx {
-			n.nicTx[nic] = up
-		}
-		if dir == DirBoth || dir == DirRx {
-			n.nicRx[nic] = up
-		}
-	case topology.KindSwitch:
-		n.swUp[a] = up
-	case topology.KindTrunk:
-		n.trkUp[a] = up
-	}
-	n.invalidateRoutes()
-}
-
-// FailNode fail-stops host's daemon process (see Network.FailNode).
-func (n *FabricNet) FailNode(host int) {
-	n.checkHost(host)
-	n.nodeUp[host] = false
-}
-
-// RestoreNode brings a fail-stopped host's process back.
-func (n *FabricNet) RestoreNode(host int) {
-	n.checkHost(host)
-	n.nodeUp[host] = true
-}
-
-// NodeUp reports whether host's daemon process is running.
-func (n *FabricNet) NodeUp(host int) bool {
-	n.checkHost(host)
-	return n.nodeUp[host]
-}
-
-// ComponentUp reports whether a component is fully operational.
-func (n *FabricNet) ComponentUp(c topology.Component) bool {
-	kind, a, b := n.fab.Describe(c)
-	switch kind {
-	case topology.KindNIC:
-		nic := a*n.fab.Ports() + b
-		return n.nicTx[nic] && n.nicRx[nic]
-	case topology.KindSwitch:
-		return n.swUp[a]
-	default:
-		return n.trkUp[a]
-	}
-}
-
-// DirUp reports whether the given direction of a component works.
-func (n *FabricNet) DirUp(c topology.Component, dir Direction) bool {
-	kind, a, b := n.fab.Describe(c)
-	if kind != topology.KindNIC {
-		return n.ComponentUp(c)
-	}
-	nic := a*n.fab.Ports() + b
-	switch dir {
-	case DirTx:
-		return n.nicTx[nic]
-	case DirRx:
-		return n.nicRx[nic]
-	default:
-		return n.nicTx[nic] && n.nicRx[nic]
-	}
-}
-
-// SetImpairment installs (or replaces) the impairment on component c.
-func (n *FabricNet) SetImpairment(c topology.Component, imp Impairment) error {
-	if err := imp.Validate(); err != nil {
-		return err
-	}
-	n.fab.Describe(c) // range check
-	if imp.IsZero() {
-		n.ClearImpairment(c)
-		return nil
-	}
-	if n.imp == nil {
-		n.imp = make(map[topology.Component]Impairment)
-	}
-	n.imp[c] = imp
-	return nil
-}
-
-// ClearImpairment removes any impairment on c.
-func (n *FabricNet) ClearImpairment(c topology.Component) {
-	delete(n.imp, c)
-	if len(n.imp) == 0 {
-		n.imp = nil
-	}
-}
-
-// ImpairmentOn returns the active impairment on c, if any.
-func (n *FabricNet) ImpairmentOn(c topology.Component) (Impairment, bool) {
-	imp, ok := n.imp[c]
-	return imp, ok
+	// payloads (discovery queues do). The delivery rail is the port the
+	// frame finally came in through.
+	e.fr.Rail = int(e.nic) % n.fab.Ports()
+	n.receive(&n.stats, e.fr, e.corrupt, true)
 }
 
 // CarrierUp reports whether src's port rail currently has a converged
@@ -663,11 +345,9 @@ func (n *FabricNet) ImpairmentOn(c topology.Component) (Impairment, bool) {
 // link-state view a converged switching layer exposes to its hosts,
 // the closest analogue of the dual-rail carrier oracle.
 func (n *FabricNet) CarrierUp(src, peer, rail int) bool {
-	n.checkHost(src)
-	n.checkHost(peer)
-	if rail < 0 || rail >= n.fab.Ports() {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkNode(src)
+	n.checkNode(peer)
+	n.checkRail(rail)
 	nic := src*n.fab.Ports() + rail
 	if !n.nicTx[nic] {
 		return false
@@ -686,8 +366,8 @@ func (n *FabricNet) CarrierUp(src, peer, rail int) bool {
 // a host needs its receive NIC; a hop out needs a transmit NIC; every
 // intermediate host needs its process up.
 func (n *FabricNet) Reachable(src, dst int) bool {
-	n.checkHost(src)
-	n.checkHost(dst)
+	n.checkNode(src)
+	n.checkNode(dst)
 	if !n.nodeUp[src] || !n.nodeUp[dst] {
 		return false
 	}
@@ -748,33 +428,17 @@ func (n *FabricNet) Reachable(src, dst int) bool {
 	return false
 }
 
-// FailedComponents returns the currently failed components ascending.
-func (n *FabricNet) FailedComponents() []topology.Component {
-	var out []topology.Component
-	for i := 0; i < n.fab.Components(); i++ {
-		c := topology.Component(i)
-		if !n.ComponentUp(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Stats returns a copy of the aggregate traffic counters. A fabric
 // has one counter set; any in-range rail index returns it.
 func (n *FabricNet) Stats(rail int) SegmentStats {
-	if rail < 0 || rail >= n.fab.Ports() {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkRail(rail)
 	return n.stats
 }
 
 // Utilization returns the fraction of total fabric link capacity
 // consumed so far (all links aggregated; same value for any rail).
 func (n *FabricNet) Utilization(rail int) float64 {
-	if rail < 0 || rail >= n.fab.Ports() {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkRail(rail)
 	elapsed := n.sched.Now().Duration().Seconds()
 	if elapsed <= 0 {
 		return 0

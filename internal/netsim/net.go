@@ -10,8 +10,12 @@ import (
 // each with Rails() ports. Two implementations exist — Network, the
 // dual-rail shared-segment (or per-rail switched) model the paper
 // studies, and FabricNet, the multi-hop switched-fabric generalization
-// (fat-tree, BCube). Component ids come from the Fabric() shape; for
-// Network they coincide with the dense dual-rail Cluster numbering.
+// (fat-tree, BCube). Both embed one component core, so failures,
+// process fail-stop and impairments mean the same on either; they
+// differ only in how a frame moves and in the carrier, reachability
+// and accounting views that follow from it. Component ids are the
+// Fabric() shape's; Network's fabric is topology.FromCluster of its
+// cluster, so they are the dense dual-rail Cluster ids.
 type Net interface {
 	// Shape.
 	Nodes() int

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"time"
 
-	"drsnet/internal/rng"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 )
@@ -130,11 +129,11 @@ func (d Direction) String() string {
 }
 
 // Impairment degrades a component without killing it — the gray
-// failures the fail-stop model cannot express. An impairment on a NIC
-// applies to frames crossing that NIC (transmit side for the sender's
-// NIC, receive side for a receiver's); an impairment on a back plane
-// applies once per frame at transmit time. The zero value is no
-// impairment.
+// failures the fail-stop model cannot express. It is drawn once per
+// frame crossing the component: for a NIC on the transmit side for the
+// sender's NIC and the receive side for a receiver's; for a back plane
+// once per frame at transmit time; for a fabric switch or trunk when
+// the frame is handed to it. The zero value is no impairment.
 type Impairment struct {
 	// Loss drops each frame crossing the component independently with
 	// this probability.
@@ -232,7 +231,6 @@ type SegmentStats struct {
 }
 
 type segment struct {
-	up        bool
 	busyUntil simtime.Time
 	// Per-node port clocks, used only in switched mode.
 	ingressBusy []simtime.Time
@@ -240,32 +238,13 @@ type segment struct {
 	stats       SegmentStats
 }
 
-// Network is one simulated cluster network.
+// Network is one simulated cluster network: the dual-rail shared
+// segments (or per-rail switches) the paper studies. Its component
+// state lives in the shared core over topology.FromCluster of the
+// cluster, so back plane k is switch k with the Cluster's ids.
 type Network struct {
-	sched   *simtime.Scheduler
-	cluster topology.Cluster
-	params  Params
-	segs    []segment
-	// Per-NIC duplex state: a NIC is operational only when both halves
-	// are; a unidirectional (gray) failure kills one half.
-	nicTx [][]bool
-	nicRx [][]bool
-	// Per-node process state: false while the node's daemon is
-	// fail-stopped (crash lifecycle). Unlike NIC failures this
-	// blackholes every frame the node sends or would receive without
-	// touching the electrical component state.
-	nodeUp  []bool
-	handler []Handler
-	rnd     *rng.Source
-	// Gray-failure state: active impairments by component, nil until
-	// the first SetImpairment so the healthy fast path stays free.
-	// impRnd is a substream split off the loss source at construction
-	// (splitting does not perturb the parent), so enabling impairments
-	// never changes the Params.LossRate draw sequence.
-	imp    map[topology.Component]Impairment
-	impRnd *rng.Source
-	// tap, when non-nil, observes every frame (see Tap).
-	tap Tap
+	components
+	segs []segment
 	// part holds the installed network partitions (nil until the first
 	// Partition, so partition-free runs pay nothing): directed
 	// (src, dst, rail) paths whose frames vanish at delivery.
@@ -276,8 +255,6 @@ type Network struct {
 	// fresh closure and timer per frame.
 	freeEv    *frameEvent
 	deliverEv func(any)
-	// fabric is the Fabric view of the cluster, built once on demand.
-	fabric *topology.Fabric
 }
 
 // frameEvent carries one in-flight hub-mode frame through the
@@ -290,82 +267,28 @@ type frameEvent struct {
 // New builds a healthy network for the given cluster shape on the
 // given scheduler. seed feeds the (optional) random-loss process.
 func New(sched *simtime.Scheduler, cluster topology.Cluster, params Params, seed uint64) (*Network, error) {
-	if sched == nil {
-		return nil, fmt.Errorf("netsim: nil scheduler")
-	}
-	if err := cluster.Validate(); err != nil {
+	fab, err := topology.FromCluster(cluster)
+	if err != nil {
 		return nil, err
 	}
-	if err := params.validate(); err != nil {
+	n := &Network{segs: make([]segment, cluster.Rails)}
+	if err := n.components.init(sched, fab, params, seed); err != nil {
 		return nil, err
 	}
-	n := &Network{
-		sched:   sched,
-		cluster: cluster,
-		params:  params,
-		segs:    make([]segment, cluster.Rails),
-		nicTx:   make([][]bool, cluster.Nodes),
-		nicRx:   make([][]bool, cluster.Nodes),
-		nodeUp:  make([]bool, cluster.Nodes),
-		handler: make([]Handler, cluster.Nodes),
-		rnd:     rng.New(seed),
-	}
-	n.impRnd = n.rnd.Split(0xc4a05)
 	n.deliverEv = n.deliverEvent
-	for r := range n.segs {
-		n.segs[r].up = true
-		if params.Switched {
+	if params.Switched {
+		for r := range n.segs {
 			n.segs[r].ingressBusy = make([]simtime.Time, cluster.Nodes)
 			n.segs[r].egressBusy = make([]simtime.Time, cluster.Nodes)
-		}
-	}
-	for i := range n.nicTx {
-		n.nicTx[i] = make([]bool, cluster.Rails)
-		n.nicRx[i] = make([]bool, cluster.Rails)
-		n.nodeUp[i] = true
-		for r := range n.nicTx[i] {
-			n.nicTx[i][r] = true
-			n.nicRx[i][r] = true
 		}
 	}
 	return n, nil
 }
 
 // Cluster returns the cluster shape.
-func (n *Network) Cluster() topology.Cluster { return n.cluster }
-
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return n.cluster.Nodes }
-
-// Rails returns the number of rails (NIC ports per node).
-func (n *Network) Rails() int { return n.cluster.Rails }
-
-// Fabric returns the fabric view of the cluster — same component
-// numbering, back planes exposed as switches. Built once, on demand.
-func (n *Network) Fabric() *topology.Fabric {
-	if n.fabric == nil {
-		f, err := topology.FromCluster(n.cluster)
-		if err != nil {
-			panic(err) // cluster was validated in New
-		}
-		n.fabric = f
-	}
-	return n.fabric
+func (n *Network) Cluster() topology.Cluster {
+	return topology.Cluster{Nodes: n.fab.Hosts(), Rails: n.fab.Ports()}
 }
-
-// Scheduler returns the driving scheduler (for protocol timers).
-func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
-
-// SetHandler installs the frame handler for node.
-func (n *Network) SetHandler(node int, h Handler) {
-	n.checkNode(node)
-	n.handler[node] = h
-}
-
-// SetTap installs (or, with nil, removes) the network's frame
-// observer. At most one tap is active; the healthy fast path pays
-// nothing when none is installed.
-func (n *Network) SetTap(t Tap) { n.tap = t }
 
 // Send transmits payload from src to dst on rail. dst may be
 // Broadcast. The call never blocks and never reports delivery
@@ -373,55 +296,19 @@ func (n *Network) SetTap(t Tap) { n.tap = t }
 // dead segment silently vanishes (the drop is counted in
 // SegmentStats). An error is returned only for malformed requests.
 func (n *Network) Send(src, rail, dst int, payload []byte) error {
-	n.checkNode(src)
-	if rail < 0 || rail >= n.cluster.Rails {
-		return fmt.Errorf("netsim: rail %d out of range", rail)
-	}
-	if dst != Broadcast {
-		n.checkNode(dst)
-		if dst == src {
-			return fmt.Errorf("netsim: node %d sending to itself", src)
-		}
+	if err := n.checkSend(src, rail, dst); err != nil {
+		return err
 	}
 	seg := &n.segs[rail]
-	seg.stats.FramesSent++
-	if n.tap != nil {
-		n.tap.FrameSent(n.sched.Now().Duration(), Frame{Src: src, Dst: dst, Rail: rail, Payload: payload})
-	}
-	if !n.nodeUp[src] {
-		seg.stats.DroppedNodeDown++
+	data, extra, ok := n.egress(&seg.stats, src, rail, dst, payload)
+	if !ok {
 		return nil
 	}
-	if !n.nicTx[src][rail] {
-		seg.stats.DroppedTxNIC++
-		return nil
-	}
-	if !seg.up {
-		seg.stats.DroppedSegment++
-		return nil
-	}
-	drop, extra, corrupt := n.impairTx(src, rail)
-	if drop {
-		seg.stats.DroppedImpaired++
-		return nil
-	}
-
-	wire := len(payload) + n.params.OverheadBytes
-	if wire < n.params.MinFrameBytes {
-		wire = n.params.MinFrameBytes
-	}
-	txTime := time.Duration(float64(wire*8) / n.params.Rate * float64(time.Second))
-
-	// Copy the payload: the sender may reuse its buffer.
-	data := append([]byte(nil), payload...)
-	if corrupt {
-		n.mangle(data)
-		seg.stats.Corrupted++
-	}
+	txTime, bits := n.wireTime(len(payload))
 	fr := Frame{Src: src, Dst: dst, Rail: rail, Payload: data}
 
 	if n.params.Switched {
-		n.sendSwitched(seg, fr, txTime, float64(wire*8), extra)
+		n.sendSwitched(seg, fr, txTime, bits, extra)
 		return nil
 	}
 
@@ -432,7 +319,7 @@ func (n *Network) Send(src, rail, dst int, payload []byte) error {
 	}
 	end := start.Add(txTime)
 	seg.busyUntil = end
-	seg.stats.BitsSent += float64(wire * 8)
+	seg.stats.BitsSent += bits
 	ev := n.freeEv
 	if ev != nil {
 		n.freeEv = ev.next
@@ -455,46 +342,6 @@ func (n *Network) deliverEvent(arg any) {
 	ev.next = n.freeEv
 	n.freeEv = ev
 	n.deliver(fr)
-}
-
-// impairTx applies the transmit-side impairments for a frame leaving
-// src on rail: the sender's NIC impairment and the segment's, in that
-// order. It returns whether the frame is eaten, the extra delay it
-// accrues, and whether its payload is corrupted. With no impairments
-// installed it draws no randomness at all, keeping unimpaired runs
-// byte-identical.
-func (n *Network) impairTx(src, rail int) (drop bool, extra time.Duration, corrupt bool) {
-	if n.imp == nil {
-		return false, 0, false
-	}
-	comps := [2]topology.Component{n.cluster.NIC(src, rail), n.cluster.Backplane(rail)}
-	for _, c := range comps {
-		imp, ok := n.imp[c]
-		if !ok {
-			continue
-		}
-		if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-			return true, 0, false
-		}
-		extra += imp.Delay
-		if imp.Jitter > 0 {
-			extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-		}
-		if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-			corrupt = true
-		}
-	}
-	return false, extra, corrupt
-}
-
-// mangle flips one byte of data in place (no-op for empty payloads) —
-// the corruption model: a burst error the FCS failed to catch.
-func (n *Network) mangle(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	i := n.impRnd.Intn(len(data))
-	data[i] ^= byte(1 + n.impRnd.Intn(255))
 }
 
 // sendSwitched models a store-and-forward switch: the frame serializes
@@ -520,7 +367,7 @@ func (n *Network) sendSwitched(seg *segment, fr Frame, txTime time.Duration, bit
 		egDone := egStart.Add(txTime)
 		seg.egressBusy[node] = egDone
 		n.sched.At(egDone.Add(half), func() {
-			if !seg.up {
+			if !n.swUp[fr.Rail] {
 				seg.stats.DroppedSegment++
 				return
 			}
@@ -528,7 +375,7 @@ func (n *Network) sendSwitched(seg *segment, fr Frame, txTime time.Duration, bit
 		})
 	}
 	if fr.Dst == Broadcast {
-		for node := 0; node < n.cluster.Nodes; node++ {
+		for node := 0; node < n.Nodes(); node++ {
 			if node != fr.Src {
 				deliverVia(node)
 			}
@@ -540,12 +387,12 @@ func (n *Network) sendSwitched(seg *segment, fr Frame, txTime time.Duration, bit
 
 func (n *Network) deliver(fr Frame) {
 	seg := &n.segs[fr.Rail]
-	if !seg.up {
+	if !n.swUp[fr.Rail] {
 		seg.stats.DroppedSegment++
 		return
 	}
 	if fr.Dst == Broadcast {
-		for node := 0; node < n.cluster.Nodes; node++ {
+		for node := 0; node < n.Nodes(); node++ {
 			if node == fr.Src {
 				continue
 			}
@@ -560,38 +407,27 @@ func (n *Network) deliverTo(seg *segment, fr Frame, node int) {
 	// Receive-side impairment of the receiver's NIC: drawn here, at
 	// arrival on the segment, so broadcast receivers are impaired
 	// independently.
-	corrupt := false
-	if n.imp != nil {
-		if imp, ok := n.imp[n.cluster.NIC(node, fr.Rail)]; ok {
-			if imp.Loss > 0 && n.impRnd.Float64() < imp.Loss {
-				seg.stats.DroppedImpaired++
-				return
-			}
-			if imp.Corrupt > 0 && n.impRnd.Float64() < imp.Corrupt {
-				corrupt = true
-			}
-			extra := imp.Delay
-			if imp.Jitter > 0 {
-				extra += time.Duration(n.impRnd.Uint64n(uint64(imp.Jitter)))
-			}
-			if extra > 0 {
-				n.sched.After(extra, func() { n.completeDelivery(seg, fr, node, corrupt) })
-				return
-			}
-		}
+	drop, extra, corrupt := n.drawRx(topology.Component(node*n.fab.Ports() + fr.Rail))
+	if drop {
+		seg.stats.DroppedImpaired++
+		return
+	}
+	if extra > 0 {
+		n.sched.After(extra, func() { n.completeDelivery(seg, fr, node, corrupt) })
+		return
 	}
 	n.completeDelivery(seg, fr, node, corrupt)
 }
 
-// completeDelivery is the final hop into the receiver: the NIC state
-// and random-loss checks happen here, at actual delivery time, so a
+// completeDelivery is the final hop into the receiver: the process,
+// NIC and partition checks happen here, at actual delivery time, so a
 // NIC that died while an impairment delayed the frame still eats it.
 func (n *Network) completeDelivery(seg *segment, fr Frame, node int, corrupt bool) {
 	if !n.nodeUp[node] {
 		seg.stats.DroppedNodeDown++
 		return
 	}
-	if !n.nicRx[node][fr.Rail] {
+	if !n.nicRx[node*n.fab.Ports()+fr.Rail] {
 		seg.stats.DroppedRxNIC++
 		return
 	}
@@ -599,153 +435,9 @@ func (n *Network) completeDelivery(seg *segment, fr Frame, node int, corrupt boo
 		seg.stats.DroppedPartitioned++
 		return
 	}
-	if n.params.LossRate > 0 && n.rnd.Float64() < n.params.LossRate {
-		seg.stats.DroppedLoss++
-		return
-	}
-	h := n.handler[node]
-	if h == nil {
-		return
-	}
-	seg.stats.FramesDelivered++
-	// Each receiver of a broadcast gets its own copy; corruption also
-	// forces a private copy so the wire image stays intact for others.
-	payload := fr.Payload
-	if fr.Dst == Broadcast || corrupt {
-		payload = append([]byte(nil), fr.Payload...)
-	}
-	if corrupt {
-		n.mangle(payload)
-		seg.stats.Corrupted++
-	}
-	out := Frame{Src: fr.Src, Dst: node, Rail: fr.Rail, Payload: payload}
-	if n.tap != nil {
-		n.tap.FrameDelivered(n.sched.Now().Duration(), out)
-	}
-	h(out)
-}
-
-// Fail takes a component (NIC or back plane) down. Failing an already
-// failed component is a no-op. Frames in flight on a failed segment
-// are lost; frames in flight to a failed NIC are lost at delivery.
-func (n *Network) Fail(c topology.Component) { n.FailDir(c, DirBoth) }
-
-// Restore brings a failed component back (both directions of a NIC).
-func (n *Network) Restore(c topology.Component) { n.RestoreDir(c, DirBoth) }
-
-// FailDir takes one direction of a NIC down — the gray failure a
-// fail-stop model cannot express: a TX-dead NIC silently eats
-// everything its node sends on that rail while replies still arrive,
-// and vice versa. For back planes the direction is ignored (a shared
-// segment has no duplex halves).
-func (n *Network) FailDir(c topology.Component, dir Direction) {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		n.segs[rail].up = false
-		return
-	}
-	if dir == DirBoth || dir == DirTx {
-		n.nicTx[node][rail] = false
-	}
-	if dir == DirBoth || dir == DirRx {
-		n.nicRx[node][rail] = false
-	}
-}
-
-// RestoreDir brings one direction of a NIC back.
-func (n *Network) RestoreDir(c topology.Component, dir Direction) {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		n.segs[rail].up = true
-		return
-	}
-	if dir == DirBoth || dir == DirTx {
-		n.nicTx[node][rail] = true
-	}
-	if dir == DirBoth || dir == DirRx {
-		n.nicRx[node][rail] = true
-	}
-}
-
-// FailNode fail-stops node's daemon process: every frame it sends or
-// would receive blackholes from this instant until RestoreNode. The
-// NICs stay electrically up — ComponentUp still reports healthy — so
-// peers see unanswered probes, not a severed link, exactly like a
-// crashed router whose hardware keeps link lights on.
-func (n *Network) FailNode(node int) {
-	n.checkNode(node)
-	n.nodeUp[node] = false
-}
-
-// RestoreNode brings a fail-stopped node's process back.
-func (n *Network) RestoreNode(node int) {
-	n.checkNode(node)
-	n.nodeUp[node] = true
-}
-
-// NodeUp reports whether node's daemon process is running.
-func (n *Network) NodeUp(node int) bool {
-	n.checkNode(node)
-	return n.nodeUp[node]
-}
-
-// ComponentUp reports whether a component is fully operational (both
-// directions, for a NIC).
-func (n *Network) ComponentUp(c topology.Component) bool {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		return n.segs[rail].up
-	}
-	return n.nicTx[node][rail] && n.nicRx[node][rail]
-}
-
-// DirUp reports whether the given direction of a component works
-// (for back planes any direction means the whole segment).
-func (n *Network) DirUp(c topology.Component, dir Direction) bool {
-	kind, node, rail := n.cluster.Describe(c)
-	if kind == topology.KindBackplane {
-		return n.segs[rail].up
-	}
-	switch dir {
-	case DirTx:
-		return n.nicTx[node][rail]
-	case DirRx:
-		return n.nicRx[node][rail]
-	default:
-		return n.nicTx[node][rail] && n.nicRx[node][rail]
-	}
-}
-
-// SetImpairment installs (or replaces) the impairment on component c.
-// A zero impairment is equivalent to ClearImpairment.
-func (n *Network) SetImpairment(c topology.Component, imp Impairment) error {
-	if err := imp.Validate(); err != nil {
-		return err
-	}
-	n.cluster.Describe(c) // range check (panics exactly like Fail)
-	if imp.IsZero() {
-		n.ClearImpairment(c)
-		return nil
-	}
-	if n.imp == nil {
-		n.imp = make(map[topology.Component]Impairment)
-	}
-	n.imp[c] = imp
-	return nil
-}
-
-// ClearImpairment removes any impairment on c.
-func (n *Network) ClearImpairment(c topology.Component) {
-	delete(n.imp, c)
-	if len(n.imp) == 0 {
-		n.imp = nil
-	}
-}
-
-// ImpairmentOn returns the active impairment on c, if any.
-func (n *Network) ImpairmentOn(c topology.Component) (Impairment, bool) {
-	imp, ok := n.imp[c]
-	return imp, ok
+	private := fr.Dst == Broadcast
+	fr.Dst = node
+	n.receive(&seg.stats, fr, corrupt, private)
 }
 
 // CarrierUp reports whether src's logical link to peer on rail has
@@ -759,10 +451,15 @@ func (n *Network) ImpairmentOn(c topology.Component) (Impairment, bool) {
 func (n *Network) CarrierUp(src, peer, rail int) bool {
 	n.checkNode(src)
 	n.checkNode(peer)
-	if rail < 0 || rail >= n.cluster.Rails {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
-	return n.nicTx[src][rail] && n.segs[rail].up && n.nicRx[peer][rail]
+	n.checkRail(rail)
+	return n.linkUp(src, peer, rail)
+}
+
+// linkUp reports whether u's transmit NIC, the segment and v's
+// receive NIC are all alive on rail.
+func (n *Network) linkUp(u, v, rail int) bool {
+	ports := n.fab.Ports()
+	return n.nicTx[u*ports+rail] && n.swUp[rail] && n.nicRx[v*ports+rail]
 }
 
 // Reachable reports ground-truth connectivity from src to dst at this
@@ -784,18 +481,19 @@ func (n *Network) Reachable(src, dst int) bool {
 	}
 	// BFS over live nodes; the frontier is tiny (clusters are small and
 	// dense), so the quadratic scan is fine.
-	visited := make([]bool, n.cluster.Nodes)
+	nodes := n.Nodes()
+	visited := make([]bool, nodes)
 	visited[src] = true
 	queue := []int{src}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for v := 0; v < n.cluster.Nodes; v++ {
+		for v := 0; v < nodes; v++ {
 			if visited[v] || !n.nodeUp[v] {
 				continue
 			}
-			for r := 0; r < n.cluster.Rails; r++ {
-				if n.nicTx[u][r] && n.segs[r].up && n.nicRx[v][r] && !n.partitioned(u, v, r) {
+			for r := 0; r < n.Rails(); r++ {
+				if n.linkUp(u, v, r) && !n.partitioned(u, v, r) {
 					if v == dst {
 						return true
 					}
@@ -809,25 +507,9 @@ func (n *Network) Reachable(src, dst int) bool {
 	return false
 }
 
-// FailedComponents returns the currently failed components in
-// ascending order — the ground-truth failure scenario for comparing
-// simulated behaviour against the analytic model.
-func (n *Network) FailedComponents() []topology.Component {
-	var out []topology.Component
-	for i := 0; i < n.cluster.Components(); i++ {
-		c := topology.Component(i)
-		if !n.ComponentUp(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Stats returns a copy of the traffic counters for rail.
 func (n *Network) Stats(rail int) SegmentStats {
-	if rail < 0 || rail >= n.cluster.Rails {
-		panic(fmt.Sprintf("netsim: rail %d out of range", rail))
-	}
+	n.checkRail(rail)
 	return n.segs[rail].stats
 }
 
@@ -842,13 +524,7 @@ func (n *Network) Utilization(rail int) float64 {
 	}
 	capacity := n.params.Rate * elapsed
 	if n.params.Switched {
-		capacity *= float64(n.cluster.Nodes)
+		capacity *= float64(n.Nodes())
 	}
 	return n.Stats(rail).BitsSent / capacity
-}
-
-func (n *Network) checkNode(node int) {
-	if node < 0 || node >= n.cluster.Nodes {
-		panic(fmt.Sprintf("netsim: node %d out of range [0,%d)", node, n.cluster.Nodes))
-	}
 }

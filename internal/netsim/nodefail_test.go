@@ -40,7 +40,7 @@ func TestFailNodeBlackholesBothDirections(t *testing.T) {
 	// The NICs never failed: the node's hardware is up even though the
 	// process is not.
 	for rail := 0; rail < 2; rail++ {
-		if !n.ComponentUp(n.cluster.NIC(1, rail)) {
+		if !n.ComponentUp(n.Cluster().NIC(1, rail)) {
 			t.Fatalf("NIC(1,%d) went down with the process", rail)
 		}
 	}

@@ -97,7 +97,7 @@ func (n *Network) partRails(rail int) []int {
 	if rail != AllRails {
 		return []int{rail}
 	}
-	rails := make([]int, n.cluster.Rails)
+	rails := make([]int, n.Rails())
 	for r := range rails {
 		rails[r] = r
 	}
@@ -105,7 +105,7 @@ func (n *Network) partRails(rail int) []int {
 }
 
 func (n *Network) checkPartRail(rail int) {
-	if rail != AllRails && (rail < 0 || rail >= n.cluster.Rails) {
-		panic(fmt.Sprintf("netsim: rail %d out of range [0,%d)", rail, n.cluster.Rails))
+	if rail != AllRails && (rail < 0 || rail >= n.Rails()) {
+		panic(fmt.Sprintf("netsim: rail %d out of range [0,%d)", rail, n.Rails()))
 	}
 }

@@ -32,14 +32,16 @@ import (
 
 // Workers normalizes a requested worker count for a sweep of n items:
 // requests ≤ 0 mean GOMAXPROCS, and the result never exceeds n (there
-// is no point parking idle goroutines on a short sweep). For n ≤ 0 it
-// returns 1 so the engine's bookkeeping stays trivial.
+// is no point parking idle goroutines on a short sweep). An empty
+// sweep (n == 0) gets 1 worker so the engine's bookkeeping stays
+// trivial; n < 0 means the length is unknown and leaves the count
+// uncapped.
 func Workers(requested, n int) int {
 	w := requested
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if n > 0 && w > n {
+	if n >= 0 && w > n {
 		w = n
 	}
 	if w < 1 {

@@ -206,7 +206,7 @@ func (ls *LinkState) helloRound() {
 	ls.mu.Unlock()
 
 	// Hellos on every rail.
-	hello := Envelope(ProtoControl, wire.MarshalLSHello())
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalLSHello())
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
 		_ = ls.tr.Send(rail, Broadcast, hello)
 	}
@@ -235,7 +235,7 @@ func (ls *LinkState) originateLSA() {
 		}
 	}
 	ls.lsdb[ls.tr.Node()] = entry
-	payload := Envelope(ProtoControl, wire.MarshalLSA(entry.LSA))
+	payload := wire.Envelope(wire.ProtoControl, wire.MarshalLSA(entry.LSA))
 	ls.mu.Unlock()
 
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
@@ -245,12 +245,12 @@ func (ls *LinkState) originateLSA() {
 }
 
 func (ls *LinkState) onFrame(rail, src int, payload []byte) {
-	proto, body, err := SplitEnvelope(payload)
+	proto, body, err := wire.SplitEnvelope(payload)
 	if err != nil {
 		return
 	}
 	switch proto {
-	case ProtoControl:
+	case wire.ProtoControl:
 		if len(body) == 0 {
 			return
 		}
@@ -260,7 +260,7 @@ func (ls *LinkState) onFrame(rail, src int, payload []byte) {
 		case wire.MsgLSA:
 			ls.onLSA(body)
 		}
-	case ProtoData:
+	case wire.ProtoData:
 		ls.onData(body)
 	}
 }
@@ -305,7 +305,7 @@ func (ls *LinkState) onLSA(body []byte) {
 		return // stale or duplicate: do not re-flood (flooding terminates)
 	}
 	ls.lsdb[origin] = &lsa{LSA: entry, heardAt: ls.clock.Now()}
-	payload := Envelope(ProtoControl, wire.MarshalLSA(entry))
+	payload := wire.Envelope(wire.ProtoControl, wire.MarshalLSA(entry))
 	ls.mu.Unlock()
 
 	// Re-flood the news on every rail so it crosses rail boundaries.

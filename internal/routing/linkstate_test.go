@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/netsim"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 type lsHarness struct {
@@ -24,10 +26,10 @@ func newLSHarness(t *testing.T, n int, cfg LinkStateConfig) *lsHarness {
 		t.Fatal(err)
 	}
 	h := &lsHarness{sched: sched, net: net, delivered: make([][]deliveredMsg, n)}
-	clock := SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		r, err := NewLinkState(NewSimNode(net, node), clock, cfg)
+		r, err := NewLinkState(transport.NewSim(net, node), clk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,27 +203,27 @@ func TestLinkStateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewSimNode(net, 0)
-	clock := SimClock{Sched: sched}
-	if _, err := NewLinkState(nil, clock, DefaultLinkStateConfig()); err == nil {
+	tr := transport.NewSim(net, 0)
+	clk := clock.Sim{Sched: sched}
+	if _, err := NewLinkState(nil, clk, DefaultLinkStateConfig()); err == nil {
 		t.Error("nil transport accepted")
 	}
 	bad := DefaultLinkStateConfig()
 	bad.HelloInterval = 0
-	if _, err := NewLinkState(tr, clock, bad); err == nil {
+	if _, err := NewLinkState(tr, clk, bad); err == nil {
 		t.Error("zero hello accepted")
 	}
 	bad = DefaultLinkStateConfig()
 	bad.DeadInterval = bad.HelloInterval / 2
-	if _, err := NewLinkState(tr, clock, bad); err == nil {
+	if _, err := NewLinkState(tr, clk, bad); err == nil {
 		t.Error("dead < hello accepted")
 	}
 	bad = DefaultLinkStateConfig()
 	bad.LSAMaxAge = bad.DeadInterval / 2
-	if _, err := NewLinkState(tr, clock, bad); err == nil {
+	if _, err := NewLinkState(tr, clk, bad); err == nil {
 		t.Error("maxage < dead accepted")
 	}
-	r, err := NewLinkState(tr, clock, DefaultLinkStateConfig())
+	r, err := NewLinkState(tr, clk, DefaultLinkStateConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

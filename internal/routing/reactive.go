@@ -8,6 +8,7 @@ import (
 	"drsnet/internal/dataplane"
 	"drsnet/internal/linkmon"
 	"drsnet/internal/metrics"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/trace"
 )
 
@@ -170,10 +171,10 @@ func (r *Reactive) advertise() {
 	}
 	r.mu.Unlock()
 
-	body, err := MarshalAdvert(Advert{Reachable: reachable})
+	body, err := wire.MarshalAdvert(wire.Advert{Reachable: reachable})
 	if err == nil {
 		for rail := 0; rail < r.tr.Rails(); rail++ {
-			if err := r.tr.Send(rail, Broadcast, Envelope(ProtoAdvert, body)); err == nil {
+			if err := r.tr.Send(rail, Broadcast, wire.Envelope(wire.ProtoAdvert, body)); err == nil {
 				r.mset.Counter(CtrAdvertsSent).Inc()
 			}
 		}
@@ -181,20 +182,20 @@ func (r *Reactive) advertise() {
 }
 
 func (r *Reactive) onFrame(rail, src int, payload []byte) {
-	proto, body, err := SplitEnvelope(payload)
+	proto, body, err := wire.SplitEnvelope(payload)
 	if err != nil {
 		return
 	}
 	switch proto {
-	case ProtoAdvert:
+	case wire.ProtoAdvert:
 		r.onAdvert(rail, src, body)
-	case ProtoData:
+	case wire.ProtoData:
 		r.onData(rail, src, body)
 	}
 }
 
 func (r *Reactive) onAdvert(rail, src int, body []byte) {
-	adv, err := UnmarshalAdvert(body)
+	adv, err := wire.UnmarshalAdvert(body)
 	if err != nil {
 		return
 	}

@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"drsnet/internal/clock"
 	"drsnet/internal/netsim"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
+	"drsnet/internal/transport"
 )
 
 // harness builds an n-node simulated cluster running reactive routers.
@@ -31,10 +33,10 @@ func newHarness(t *testing.T, n int, cfg ReactiveConfig) *harness {
 		t.Fatal(err)
 	}
 	h := &harness{sched: sched, net: net, delivered: make([][]deliveredMsg, n)}
-	clock := SimClock{Sched: sched}
+	clk := clock.Sim{Sched: sched}
 	for node := 0; node < n; node++ {
 		node := node
-		r, err := NewReactive(NewSimNode(net, node), clock, cfg)
+		r, err := NewReactive(transport.NewSim(net, node), clk, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,22 +192,22 @@ func TestReactiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewSimNode(net, 0)
-	clock := SimClock{Sched: sched}
-	if _, err := NewReactive(nil, clock, DefaultReactiveConfig()); err == nil {
+	tr := transport.NewSim(net, 0)
+	clk := clock.Sim{Sched: sched}
+	if _, err := NewReactive(nil, clk, DefaultReactiveConfig()); err == nil {
 		t.Error("nil transport accepted")
 	}
 	bad := DefaultReactiveConfig()
 	bad.AdvertiseInterval = 0
-	if _, err := NewReactive(tr, clock, bad); err == nil {
+	if _, err := NewReactive(tr, clk, bad); err == nil {
 		t.Error("zero interval accepted")
 	}
 	bad = DefaultReactiveConfig()
 	bad.RouteTimeout = bad.AdvertiseInterval / 2
-	if _, err := NewReactive(tr, clock, bad); err == nil {
+	if _, err := NewReactive(tr, clk, bad); err == nil {
 		t.Error("timeout below interval accepted")
 	}
-	r, err := NewReactive(tr, clock, DefaultReactiveConfig())
+	r, err := NewReactive(tr, clk, DefaultReactiveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +233,11 @@ func TestStaticDeliversAndNeverRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []deliveredMsg
-	a, err := NewStatic(NewSimNode(net, 0), 0)
+	a, err := NewStatic(transport.NewSim(net, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewStatic(NewSimNode(net, 1), 0)
+	b, err := NewStatic(transport.NewSim(net, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +278,10 @@ func TestStaticValidation(t *testing.T) {
 	if _, err := NewStatic(nil, 0); err == nil {
 		t.Error("nil transport accepted")
 	}
-	if _, err := NewStatic(NewSimNode(net, 0), 5); err == nil {
+	if _, err := NewStatic(transport.NewSim(net, 0), 5); err == nil {
 		t.Error("bad rail accepted")
 	}
-	s, err := NewStatic(NewSimNode(net, 0), 0)
+	s, err := NewStatic(transport.NewSim(net, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

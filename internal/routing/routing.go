@@ -13,8 +13,8 @@
 //     has been reached."
 //
 // Routers are transport-agnostic: the same code runs over the
-// deterministic packet simulator (SimNode/SimClock) and over real UDP
-// sockets (examples/livecluster provides a UDP transport).
+// deterministic packet simulator (transport.Sim, clock.Sim) and over
+// real UDP sockets (examples/livecluster provides a UDP transport).
 package routing
 
 import (

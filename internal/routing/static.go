@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"drsnet/internal/metrics"
+	"drsnet/internal/routing/wire"
 )
 
 // Static is the no-fault-tolerance baseline: every datagram goes
@@ -74,19 +75,19 @@ func (s *Static) SendData(dst int, data []byte) error {
 		return fmt.Errorf("routing: bad destination %d", dst)
 	}
 	s.seq++
-	h := DataHeader{Origin: uint16(s.tr.Node()), Final: uint16(dst), TTL: 1, Seq: s.seq}
+	h := wire.DataHeader{Origin: uint16(s.tr.Node()), Final: uint16(dst), TTL: 1, Seq: s.seq}
 	s.mu.Unlock()
 
 	s.mset.Counter(CtrDataSent).Inc()
-	return s.tr.Send(s.rail, dst, Envelope(ProtoData, MarshalData(h, data)))
+	return s.tr.Send(s.rail, dst, wire.Envelope(wire.ProtoData, wire.MarshalData(h, data)))
 }
 
 func (s *Static) onFrame(rail, src int, payload []byte) {
-	proto, body, err := SplitEnvelope(payload)
-	if err != nil || proto != ProtoData {
+	proto, body, err := wire.SplitEnvelope(payload)
+	if err != nil || proto != wire.ProtoData {
 		return
 	}
-	h, data, err := UnmarshalData(body)
+	h, data, err := wire.UnmarshalData(body)
 	if err != nil {
 		return
 	}

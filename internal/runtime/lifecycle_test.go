@@ -191,7 +191,7 @@ func TestCrashAdvancesIncarnation(t *testing.T) {
 	c.ScheduleCrashes()
 
 	c.RunUntil(12 * time.Second) // mid-outage
-	if c.Network().NodeUp(1) {
+	if c.Net().NodeUp(1) {
 		t.Fatal("network still carries frames for the crashed node")
 	}
 	c.RunUntil(spec.Duration)
@@ -199,7 +199,7 @@ func TestCrashAdvancesIncarnation(t *testing.T) {
 	if err := c.LifecycleErr(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Network().NodeUp(1) {
+	if !c.Net().NodeUp(1) {
 		t.Fatal("node never restored on the network")
 	}
 	if c.incarnation[1] != 2 {
@@ -235,7 +235,7 @@ func TestCrashIgnoredWithoutLifecycle(t *testing.T) {
 	}
 	c.Crash(1, true)
 	c.Restart(1)
-	if !c.Network().NodeUp(1) {
+	if !c.Net().NodeUp(1) {
 		t.Fatal("Crash acted on a lifecycle-free cluster")
 	}
 	if n := len(c.TraceLog().Events()); n != 0 {

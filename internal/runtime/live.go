@@ -37,7 +37,7 @@ func BuildNode(spec ClusterSpec, node int, tr routing.Transport, clk routing.Clo
 	if err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	if spec.fabric != nil {
+	if !spec.Topology.dualRail() {
 		return nil, fmt.Errorf("runtime: live node assembly supports dual-rail clusters only, not %q fabrics", spec.Topology.Kind)
 	}
 	if tr == nil || clk == nil {

@@ -51,10 +51,10 @@ func TestAsymmetricPartitionRoutedAround(t *testing.T) {
 	run := c.Finish()
 
 	// The cut really ate frames (and only on rail 0).
-	if got := c.Network().Stats(0).DroppedPartitioned; got == 0 {
+	if got := c.Net().Stats(0).DroppedPartitioned; got == 0 {
 		t.Fatal("partition window passed without a single partition drop")
 	}
-	if got := c.Network().Stats(1).DroppedPartitioned; got != 0 {
+	if got := c.Net().Stats(1).DroppedPartitioned; got != 0 {
 		t.Fatalf("rail 1 recorded %d partition drops, want 0", got)
 	}
 

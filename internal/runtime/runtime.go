@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"drsnet/internal/chaos"
+	"drsnet/internal/clock"
 	"drsnet/internal/core"
 	"drsnet/internal/invariant"
 	"drsnet/internal/metrics"
@@ -14,6 +15,7 @@ import (
 	"drsnet/internal/routing"
 	"drsnet/internal/simtime"
 	"drsnet/internal/trace"
+	"drsnet/internal/transport"
 )
 
 // Metrics collects runtime engine telemetry: RunMany records
@@ -104,10 +106,10 @@ func Build(spec ClusterSpec) (*Cluster, error) {
 	params.LossRate = spec.LossRate
 	params.Switched = spec.Switched
 	var net netsim.Net
-	if f := spec.Fabric(); f != nil {
-		net, err = netsim.NewFabricNet(sched, f, params, spec.Seed)
-	} else {
+	if spec.Topology.dualRail() {
 		net, err = netsim.New(sched, spec.topology(), params, spec.Seed)
+	} else {
+		net, err = netsim.NewFabricNet(sched, spec.Fabric(), params, spec.Seed)
 	}
 	if err != nil {
 		return nil, err
@@ -161,8 +163,8 @@ func Build(spec ClusterSpec) (*Cluster, error) {
 func (c *Cluster) buildRouter(node int) (routing.Router, error) {
 	ctx := BuildContext{
 		Node:      node,
-		Transport: routing.NewSimNode(c.net, node),
-		Clock:     routing.SimClock{Sched: c.sched},
+		Transport: transport.NewSim(c.net, node),
+		Clock:     clock.Sim{Sched: c.sched},
 		Spec:      &c.spec,
 		Carrier:   carrierSensor{net: c.net, node: node},
 	}
@@ -191,19 +193,11 @@ func (c *Cluster) Spec() ClusterSpec { return c.spec }
 // Scheduler exposes the simulation scheduler.
 func (c *Cluster) Scheduler() *simtime.Scheduler { return c.sched }
 
-// Network exposes the dual-rail network (fault injection,
-// utilization). It returns nil when the spec selected a switched
-// fabric topology — use Net, which serves every shape.
-func (c *Cluster) Network() *netsim.Network {
-	n, _ := c.net.(*netsim.Network)
-	return n
-}
-
-// Net exposes the simulated network regardless of topology.
+// Net exposes the simulated network (fault injection, utilization).
 func (c *Cluster) Net() netsim.Net { return c.net }
 
 // Clock returns the simulation clock routers were built with.
-func (c *Cluster) Clock() routing.Clock { return routing.SimClock{Sched: c.sched} }
+func (c *Cluster) Clock() routing.Clock { return clock.Sim{Sched: c.sched} }
 
 // TraceLog returns the protocol event log (the spec's sink, or the
 // private log Build created).
@@ -336,7 +330,7 @@ func (c *Cluster) SchedulePartitions() {
 	if len(c.spec.Partitions) == 0 {
 		return
 	}
-	chaos.SchedulePartitions(c.sched, c.spec.Partitions, c.Network())
+	chaos.SchedulePartitions(c.sched, c.spec.Partitions, c.net.(*netsim.Network))
 }
 
 // Crash fail-stops node's routing process: the daemon is stopped and

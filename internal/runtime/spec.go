@@ -201,18 +201,27 @@ type ClusterSpec struct {
 	// simulation order.
 	OnDeliver func(at time.Duration, src, dst int, data []byte)
 
-	// fabric is the resolved switched fabric, set by normalize when
-	// Topology names one (nil for dual-rail shapes).
+	// fabric is the resolved component shape, set by normalize.
 	fabric *topology.Fabric
 }
 
-// Fabric returns the spec's resolved switched fabric, or nil for
-// dual-rail shapes. Valid after normalize (i.e. on built clusters).
+// Fabric returns the spec's resolved component shape: the switched
+// fabric its Topology names, or topology.FromCluster of its dual-rail
+// cluster. Valid after normalize (i.e. on built clusters).
 func (s *ClusterSpec) Fabric() *topology.Fabric { return s.fabric }
 
 // normalize applies defaults and validates the spec in place.
 func (s *ClusterSpec) normalize() error {
-	if !s.Topology.dualRail() {
+	if s.Topology.dualRail() {
+		if s.Rails == 0 {
+			s.Rails = 2
+		}
+		f, err := topology.FromCluster(s.topology())
+		if err != nil {
+			return fmt.Errorf("runtime: %v", err)
+		}
+		s.fabric = f
+	} else {
 		if s.Switched {
 			return fmt.Errorf("runtime: Switched is a dual-rail ablation; %q fabrics are switched by construction", s.Topology.Kind)
 		}
@@ -230,15 +239,6 @@ func (s *ClusterSpec) normalize() error {
 		}
 		s.Nodes, s.Rails = f.Hosts(), f.Ports()
 		s.fabric = f
-	}
-	if s.Rails == 0 {
-		s.Rails = 2
-	}
-	cl := topology.Cluster{Nodes: s.Nodes, Rails: s.Rails}
-	if s.fabric == nil {
-		if err := cl.Validate(); err != nil {
-			return fmt.Errorf("runtime: %v", err)
-		}
 	}
 	if s.Protocol == "" {
 		s.Protocol = ProtoDRS
@@ -288,10 +288,7 @@ func (s *ClusterSpec) normalize() error {
 			return fmt.Errorf("runtime: flows[%d] stop must be ≥ 0", i)
 		}
 	}
-	universe := cl.Components()
-	if s.fabric != nil {
-		universe = s.fabric.Components()
-	}
+	universe := s.fabric.Components()
 	for i, f := range s.Faults {
 		if f.At < 0 {
 			return fmt.Errorf("runtime: faults[%d] at %v before time zero", i, f.At)
@@ -300,11 +297,7 @@ func (s *ClusterSpec) normalize() error {
 			return fmt.Errorf("runtime: faults[%d] component %d outside universe %d", i, int(f.Comp), universe)
 		}
 	}
-	if s.fabric != nil {
-		if err := chaos.ValidateFabric(s.Impairments, s.fabric); err != nil {
-			return fmt.Errorf("runtime: %v", err)
-		}
-	} else if err := chaos.Validate(s.Impairments, cl); err != nil {
+	if err := chaos.Validate(s.Impairments, s.fabric); err != nil {
 		return fmt.Errorf("runtime: %v", err)
 	}
 	if err := s.Tunables.AdaptiveRTO.Normalize(); err != nil {
@@ -316,7 +309,7 @@ func (s *ClusterSpec) normalize() error {
 	if err := chaos.ValidateCrashes(s.Crashes, s.Nodes); err != nil {
 		return fmt.Errorf("runtime: %v", err)
 	}
-	if len(s.Partitions) > 0 && s.fabric != nil {
+	if len(s.Partitions) > 0 && !s.Topology.dualRail() {
 		return fmt.Errorf("runtime: partitions are dual-rail only (fabric %q)", s.Topology.Kind)
 	}
 	if err := chaos.ValidatePartitions(s.Partitions, s.Nodes, s.Rails); err != nil {

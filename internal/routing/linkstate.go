@@ -48,9 +48,17 @@ type LinkState struct {
 	lsdb []*lsa
 	// routes[dst] is the SPF result: first hop and rail.
 	routes []lsRoute
+	// spf and queue are recompute's scratch: spf[dst] is the first hop
+	// toward dst, valid once the search reaches dst; queue is the
+	// search frontier in visit order.
+	spf   []lsRoute
+	queue []int
 
 	plane  *dataplane.Plane
 	rounds *linkmon.Rounds
+
+	// Hot-path counter handles, resolved once in NewLinkState.
+	probesSent, advertsSent, advertsRecv, repairs *metrics.Counter
 }
 
 type lsRoute struct {
@@ -140,9 +148,15 @@ func NewLinkState(tr Transport, clock Clock, cfg LinkStateConfig) (*LinkState, e
 		adjacency: linkmon.NewDeadlines(tr.Nodes(), tr.Rails()),
 		lsdb:      make([]*lsa, tr.Nodes()),
 		routes:    make([]lsRoute, tr.Nodes()),
+		spf:       make([]lsRoute, tr.Nodes()),
+		queue:     make([]int, 0, tr.Nodes()),
 		plane: dataplane.New(tr.Node(), tr.Nodes(), cfg.DataTTL,
 			cfg.QueueCapacity, mset.Counter(CtrQueueOverflow)),
-		rounds: linkmon.NewRounds(clock),
+		rounds:      linkmon.NewRounds(clock),
+		probesSent:  mset.Counter(CtrProbesSent),
+		advertsSent: mset.Counter(CtrAdvertsSent),
+		advertsRecv: mset.Counter(CtrAdvertsRecv),
+		repairs:     mset.Counter(CtrRepairs),
 	}
 	return ls, nil
 }
@@ -210,7 +224,7 @@ func (ls *LinkState) helloRound() {
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
 		_ = ls.tr.Send(rail, Broadcast, hello)
 	}
-	ls.mset.Counter(CtrProbesSent).Inc() // hellos are this protocol's probes
+	ls.probesSent.Inc() // hellos are this protocol's probes
 
 	// Re-originate our LSA every round (it doubles as the refresh),
 	// and recompute routes if the topology view moved.
@@ -241,7 +255,7 @@ func (ls *LinkState) originateLSA() {
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
 		_ = ls.tr.Send(rail, Broadcast, payload)
 	}
-	ls.mset.Counter(CtrAdvertsSent).Inc()
+	ls.advertsSent.Inc()
 }
 
 func (ls *LinkState) onFrame(rail, src int, payload []byte) {
@@ -258,7 +272,7 @@ func (ls *LinkState) onFrame(rail, src int, payload []byte) {
 		case wire.MsgLSHello:
 			ls.onHello(rail, src)
 		case wire.MsgLSA:
-			ls.onLSA(body)
+			ls.onLSA(payload, body)
 		}
 	case wire.ProtoData:
 		ls.onData(body)
@@ -284,33 +298,47 @@ func (ls *LinkState) onHello(rail, src int) {
 	}
 }
 
-func (ls *LinkState) onLSA(body []byte) {
-	entry, err := wire.UnmarshalLSA(body)
+// onLSA handles a flooded advertisement; body is payload's envelope
+// body. Only the origin and sequence number are read before the
+// freshness check, so a duplicate costs no decode and no allocation.
+func (ls *LinkState) onLSA(payload, body []byte) {
+	o, seq, n, err := wire.PeekLSA(body)
 	if err != nil {
 		return
 	}
-	origin := int(entry.Origin)
-	if origin < 0 || origin >= ls.tr.Nodes() || origin == ls.tr.Node() {
+	origin := int(o)
+	if origin >= ls.tr.Nodes() || origin == ls.tr.Node() {
 		return
 	}
-	ls.mset.Counter(CtrAdvertsRecv).Inc()
+	ls.advertsRecv.Inc()
 	ls.mu.Lock()
 	if ls.stopped {
 		ls.mu.Unlock()
 		return
 	}
-	existing := ls.lsdb[origin]
-	if existing != nil && entry.Seq <= existing.Seq {
+	entry := ls.lsdb[origin]
+	if entry != nil && seq <= entry.Seq {
 		ls.mu.Unlock()
 		return // stale or duplicate: do not re-flood (flooding terminates)
 	}
-	ls.lsdb[origin] = &lsa{LSA: entry, heardAt: ls.clock.Now()}
-	payload := wire.Envelope(wire.ProtoControl, wire.MarshalLSA(entry))
+	if entry == nil {
+		entry = &lsa{}
+		ls.lsdb[origin] = entry
+	}
+	// Decode into the entry's own neighbor array: the entry never
+	// aliases the transport's buffer. PeekLSA accepted body, so
+	// decoding cannot fail.
+	entry.LSA, _ = wire.UnmarshalLSAInto(body, entry.Neighbors)
+	entry.heardAt = ls.clock.Now()
 	ls.mu.Unlock()
 
 	// Re-flood the news on every rail so it crosses rail boundaries.
+	// The received envelope cut to the LSA's encoded length is exactly
+	// what re-marshalling the decoded entry would produce, and
+	// Transport.Send copies whatever it keeps past its return.
+	flood := payload[:len(payload)-len(body)+n]
 	for rail := 0; rail < ls.tr.Rails(); rail++ {
-		_ = ls.tr.Send(rail, Broadcast, payload)
+		_ = ls.tr.Send(rail, Broadcast, flood)
 	}
 	ls.recompute()
 }
@@ -341,27 +369,22 @@ func (ls *LinkState) recompute() {
 	}
 
 	// BFS from self over bidirectional edges; hop count is the metric
-	// (all links are equal-cost 100 Mb/s).
-	type hop struct {
-		via  int
-		rail int
-	}
-	first := make([]hop, n)
-	visited := make([]bool, n)
-	visited[self] = true
-	queue := []int{self}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	// (all links are equal-cost 100 Mb/s). The visit order decides
+	// which first hop wins a tie.
+	first := ls.spf
+	clear(first)
+	first[self].valid = true
+	queue := append(ls.queue[:0], self)
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
 		for next := 0; next < n; next++ {
-			if visited[next] || next == cur {
+			if first[next].valid {
 				continue
 			}
 			for rail := 0; rail < ls.tr.Rails(); rail++ {
 				if claims(cur, next, rail) && claims(next, cur, rail) {
-					visited[next] = true
 					if cur == self {
-						first[next] = hop{via: next, rail: rail}
+						first[next] = lsRoute{valid: true, via: next, rail: rail}
 					} else {
 						first[next] = first[cur]
 					}
@@ -371,18 +394,15 @@ func (ls *LinkState) recompute() {
 			}
 		}
 	}
+	ls.queue = queue
 	for dst := 0; dst < n; dst++ {
 		if dst == self {
 			continue
 		}
 		prev := ls.routes[dst]
-		if visited[dst] {
-			ls.routes[dst] = lsRoute{valid: true, via: first[dst].via, rail: first[dst].rail}
-		} else {
-			ls.routes[dst] = lsRoute{}
-		}
+		ls.routes[dst] = first[dst]
 		if prev != ls.routes[dst] {
-			ls.mset.Counter(CtrRepairs).Inc()
+			ls.repairs.Inc()
 			ls.event(trace.Event{At: now, Node: self, Kind: trace.KindRouteInstalled,
 				Peer: dst, Rail: ls.routes[dst].rail,
 				Detail: fmt.Sprintf("spf via %d (valid=%v)", ls.routes[dst].via, ls.routes[dst].valid)})

@@ -1,11 +1,15 @@
 package routing
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
 	"drsnet/internal/clock"
 	"drsnet/internal/netsim"
+	"drsnet/internal/routing/wire"
 	"drsnet/internal/simtime"
 	"drsnet/internal/topology"
 	"drsnet/internal/transport"
@@ -338,5 +342,245 @@ func TestLinkStateQueueOverflowDropsOldest(t *testing.T) {
 		if want := string([]byte{byte(i + 2)}); msg.src != 0 || msg.data != want {
 			t.Fatalf("delivery %d = %+v, want payload %q from 0", i, msg, want)
 		}
+	}
+}
+
+// lsFake is a Transport for driving one LinkState by hand: frames go in
+// through onFrame, and Send records a copy of every frame when record
+// is set (otherwise it only counts, allocating nothing).
+type lsFake struct {
+	node, nodes, rails int
+	record             bool
+	sends              int
+	sent               []lsSent
+}
+
+type lsSent struct {
+	rail, dst int
+	payload   []byte
+}
+
+func (f *lsFake) Node() int                                       { return f.node }
+func (f *lsFake) Nodes() int                                      { return f.nodes }
+func (f *lsFake) Rails() int                                      { return f.rails }
+func (f *lsFake) SetReceiver(func(rail, src int, payload []byte)) {}
+func (f *lsFake) Send(rail, dst int, payload []byte) error {
+	f.sends++
+	if f.record {
+		f.sent = append(f.sent, lsSent{rail, dst, append([]byte(nil), payload...)})
+	}
+	return nil
+}
+
+// newLSFake returns node 0 of an n-node dual-rail cluster behind a
+// fake transport, with a live adjacency to every node in peers on both
+// rails. The clock never advances, so adjacencies and LSAs stay fresh.
+func newLSFake(tb testing.TB, n int, peers ...int) (*LinkState, *lsFake) {
+	tb.Helper()
+	tr := &lsFake{nodes: n, rails: 2}
+	ls, err := NewLinkState(tr, clock.Sim{Sched: simtime.NewScheduler()}, DefaultLinkStateConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hello := wire.Envelope(wire.ProtoControl, wire.MarshalLSHello())
+	for _, peer := range peers {
+		for rail := 0; rail < tr.rails; rail++ {
+			ls.onFrame(rail, peer, hello)
+		}
+	}
+	return ls, tr
+}
+
+// lsaFrame is the envelope of an LSA from origin claiming each node in
+// peers on both rails.
+func lsaFrame(origin uint16, seq uint32, peers ...uint16) []byte {
+	e := wire.LSA{Origin: origin, Seq: seq}
+	for _, p := range peers {
+		e.Neighbors = append(e.Neighbors, wire.Adjacency{Node: p, Rail: 0}, wire.Adjacency{Node: p, Rail: 1})
+	}
+	return wire.Envelope(wire.ProtoControl, wire.MarshalLSA(e))
+}
+
+// routeTable is every destination's route as RouteVia reports it.
+func routeTable(ls *LinkState) []lsRoute {
+	var out []lsRoute
+	for dst := 0; dst < ls.tr.Nodes(); dst++ {
+		via, rail, ok := ls.RouteVia(dst)
+		out = append(out, lsRoute{valid: ok, via: via, rail: rail})
+	}
+	return out
+}
+
+// TestLinkStateRefloodCutsTrailingBytes re-floods a body carrying
+// garbage past its neighbor list and requires the re-flood to be the
+// re-marshalled LSA, byte for byte.
+func TestLinkStateRefloodCutsTrailingBytes(t *testing.T) {
+	ls, tr := newLSFake(t, 4, 1)
+	body := append(wire.MarshalLSA(wire.LSA{Origin: 1, Seq: 5,
+		Neighbors: []wire.Adjacency{{Node: 0, Rail: 0}, {Node: 2, Rail: 1}}}), 0xde, 0xad, wire.MsgLSA)
+	tr.record = true
+	ls.onFrame(0, 1, wire.Envelope(wire.ProtoControl, body))
+	e, err := wire.UnmarshalLSA(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wire.Envelope(wire.ProtoControl, wire.MarshalLSA(e))
+	if len(tr.sent) != tr.rails {
+		t.Fatalf("%d frames re-flooded, want one per rail", len(tr.sent))
+	}
+	for rail, s := range tr.sent {
+		if s.rail != rail || s.dst != Broadcast || !bytes.Equal(s.payload, want) {
+			t.Fatalf("re-flood %d = rail %d dst %d %x, want rail %d broadcast %x",
+				rail, s.rail, s.dst, s.payload, rail, want)
+		}
+	}
+}
+
+// TestLinkStateDuplicateNotReflooded delivers an LSA, then the same
+// sequence number again and an older one with a different list: the
+// router must stay silent and keep its routes.
+func TestLinkStateDuplicateNotReflooded(t *testing.T) {
+	ls, tr := newLSFake(t, 4, 1)
+	ls.onFrame(0, 1, lsaFrame(1, 7, 0, 2))
+	ls.onFrame(0, 1, lsaFrame(2, 3, 1))
+	before := routeTable(ls)
+	if !before[2].valid || before[2].via != 1 {
+		t.Fatalf("route to 2 = %v, want via 1", before[2])
+	}
+	tr.record = true
+	ls.onFrame(1, 1, lsaFrame(1, 7, 0, 2)) // duplicate
+	ls.onFrame(0, 1, lsaFrame(1, 6, 0))    // stale, would cut node 2 off
+	ls.onFrame(0, 1, lsaFrame(2, 2))       // stale, would cut node 2 off
+	if len(tr.sent) != 0 {
+		t.Fatalf("duplicate or stale LSA re-flooded: %d frames", len(tr.sent))
+	}
+	if after := routeTable(ls); !slices.Equal(after, before) {
+		t.Fatalf("routes moved on a duplicate: %v -> %v", before, after)
+	}
+}
+
+// TestLinkStateLSDBDoesNotAliasPayload overwrites the delivered
+// payload after onFrame returns: neither the routes nor the next SPF
+// may see the overwrite.
+func TestLinkStateLSDBDoesNotAliasPayload(t *testing.T) {
+	ls, _ := newLSFake(t, 4, 1)
+	ls.onFrame(0, 1, lsaFrame(1, 1, 0, 2))
+	frame := lsaFrame(2, 1, 1)
+	ls.onFrame(0, 1, frame)
+	before := routeTable(ls)
+	for i := range frame {
+		frame[i] = 0xff
+	}
+	if after := routeTable(ls); !slices.Equal(after, before) {
+		t.Fatalf("routes moved when the payload was overwritten: %v -> %v", before, after)
+	}
+	// Node 3 joins behind 2: a fresh SPF must still walk 0-1-2-3.
+	ls.onFrame(0, 1, lsaFrame(3, 1, 2))
+	ls.onFrame(0, 1, lsaFrame(2, 2, 1, 3))
+	if via, _, ok := ls.RouteVia(3); !ok || via != 1 {
+		t.Fatalf("route to 3 = via %d ok %v, want via 1", via, ok)
+	}
+	if via, _, ok := ls.RouteVia(2); !ok || via != 1 {
+		t.Fatalf("route to 2 = via %d ok %v, want via 1", via, ok)
+	}
+}
+
+// TestLinkStateShorterLSADropsEdges replaces an LSA with a fresher one
+// listing fewer neighbors: the dropped edges must leave SPF, which a
+// stale tail in the reused neighbor buffer would keep alive.
+func TestLinkStateShorterLSADropsEdges(t *testing.T) {
+	ls, _ := newLSFake(t, 4, 1)
+	ls.onFrame(0, 1, lsaFrame(1, 1, 0, 2))
+	ls.onFrame(0, 1, lsaFrame(3, 1, 2))
+	ls.onFrame(0, 1, lsaFrame(2, 1, 1, 3))
+	if via, _, ok := ls.RouteVia(3); !ok || via != 1 {
+		t.Fatalf("route to 3 = via %d ok %v, want via 1", via, ok)
+	}
+	ls.onFrame(0, 1, lsaFrame(2, 2, 1))
+	if _, _, ok := ls.RouteVia(3); ok {
+		t.Fatal("route to 3 survived its only edge being withdrawn")
+	}
+	if via, _, ok := ls.RouteVia(2); !ok || via != 1 {
+		t.Fatalf("route to 2 = via %d ok %v, want via 1", via, ok)
+	}
+}
+
+// lsMesh is node 0 of an n-node full mesh: every node adjacent to every
+// other on both rails, each peer's LSA at sequence 1 in the database.
+func lsMesh(tb testing.TB, n int) (*LinkState, *lsFake) {
+	tb.Helper()
+	var peers []int
+	for p := 1; p < n; p++ {
+		peers = append(peers, p)
+	}
+	ls, tr := newLSFake(tb, n, peers...)
+	for _, origin := range peers {
+		ls.onFrame(0, origin, meshLSA(n, origin, 1))
+	}
+	return ls, tr
+}
+
+// meshLSA is origin's full-mesh LSA in an n-node cluster.
+func meshLSA(n, origin int, seq uint32) []byte {
+	var peers []uint16
+	for p := 0; p < n; p++ {
+		if p != origin {
+			peers = append(peers, uint16(p))
+		}
+	}
+	return lsaFrame(uint16(origin), seq, peers...)
+}
+
+// TestLinkStateLSAAllocs is the exact allocation gate on the flood
+// receive path: a duplicate costs nothing, and a fresh LSA that moves
+// no route costs nothing inside the router.
+func TestLinkStateLSAAllocs(t *testing.T) {
+	ls, tr := lsMesh(t, 8)
+	dup := meshLSA(8, 3, 1)
+	if got := testing.AllocsPerRun(100, func() { ls.onFrame(0, 3, dup) }); got != 0 {
+		t.Errorf("duplicate LSA: %v allocs, want 0", got)
+	}
+	fresh := meshLSA(8, 3, 1)
+	seq := uint32(1)
+	sends := tr.sends
+	before := routeTable(ls)
+	got := testing.AllocsPerRun(100, func() {
+		seq++
+		binary.BigEndian.PutUint32(fresh[1+3:], seq)
+		ls.onFrame(0, 3, fresh)
+	})
+	if got != 0 {
+		t.Errorf("fresh LSA: %v allocs, want 0", got)
+	}
+	if tr.sends == sends {
+		t.Fatal("fresh LSAs were not re-flooded")
+	}
+	if after := routeTable(ls); !slices.Equal(after, before) {
+		t.Fatalf("routes moved: %v -> %v", before, after)
+	}
+}
+
+// BenchmarkLinkStateLSADuplicate is the cost of a flooded duplicate on
+// a 24-node mesh, the common case of every flood.
+func BenchmarkLinkStateLSADuplicate(b *testing.B) {
+	ls, _ := lsMesh(b, 24)
+	dup := meshLSA(24, 5, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ls.onFrame(0, 5, dup)
+	}
+}
+
+// BenchmarkLinkStateLSAFresh is a fresh LSA on a 24-node mesh: decode,
+// re-flood and a full SPF that moves no route.
+func BenchmarkLinkStateLSAFresh(b *testing.B) {
+	ls, _ := lsMesh(b, 24)
+	fresh := meshLSA(24, 5, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		binary.BigEndian.PutUint32(fresh[1+3:], uint32(i+2))
+		ls.onFrame(0, 5, fresh)
 	}
 }

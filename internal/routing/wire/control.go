@@ -1,6 +1,9 @@
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Control message types carried in ProtoControl frames. The DRS and
 // the link-state baseline occupy disjoint ranges so a mixed cluster
@@ -217,26 +220,40 @@ func MarshalLSA(e LSA) []byte {
 	return b
 }
 
-// UnmarshalLSA decodes a link-state advertisement.
-func UnmarshalLSA(b []byte) (LSA, error) {
+// PeekLSA validates an LSA body exactly as UnmarshalLSA does and
+// returns its origin, its sequence number and its encoded length
+// n = 9 + 4*count, without decoding the neighbor list. A receiver
+// uses it to drop duplicates before paying for a decode; b[:n] is the
+// body a re-marshal of the decoded LSA would produce.
+func PeekLSA(b []byte) (origin uint16, seq uint32, n int, err error) {
 	if len(b) < lsaFixedLen || b[0] != MsgLSA {
-		return LSA{}, ErrBadControl
+		return 0, 0, 0, ErrBadControl
 	}
-	count := int(binary.BigEndian.Uint16(b[7:9]))
-	if len(b) < lsaFixedLen+4*count {
-		return LSA{}, ErrBadControl
+	n = lsaFixedLen + 4*int(binary.BigEndian.Uint16(b[7:9]))
+	if len(b) < n {
+		return 0, 0, 0, ErrBadControl
 	}
-	e := LSA{
-		Origin: binary.BigEndian.Uint16(b[1:3]),
-		Seq:    binary.BigEndian.Uint32(b[3:7]),
+	return binary.BigEndian.Uint16(b[1:3]), binary.BigEndian.Uint32(b[3:7]), n, nil
+}
+
+// UnmarshalLSA decodes a link-state advertisement.
+func UnmarshalLSA(b []byte) (LSA, error) { return UnmarshalLSAInto(b, nil) }
+
+// UnmarshalLSAInto decodes a link-state advertisement, appending its
+// neighbors to buf[:0] so a caller can reuse one backing array across
+// decodes. The result's Neighbors is nil when the LSA has none and buf
+// is nil.
+func UnmarshalLSAInto(b []byte, buf []Adjacency) (LSA, error) {
+	origin, seq, n, err := PeekLSA(b)
+	if err != nil {
+		return LSA{}, err
 	}
-	off := lsaFixedLen
-	for i := 0; i < count; i++ {
+	e := LSA{Origin: origin, Seq: seq, Neighbors: slices.Grow(buf[:0], (n-lsaFixedLen)/4)}
+	for off := lsaFixedLen; off < n; off += 4 {
 		e.Neighbors = append(e.Neighbors, Adjacency{
 			Node: binary.BigEndian.Uint16(b[off:]),
 			Rail: binary.BigEndian.Uint16(b[off+2:]),
 		})
-		off += 4
 	}
 	return e, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -21,6 +22,14 @@ func FuzzFrame(f *testing.F) {
 		for cut := len(frame) - 1; cut >= 0; cut-- {
 			f.Add(frame[:cut])
 		}
+	}
+	// LSA bodies carrying bytes past their neighbor list: a receiver
+	// that re-floods what it heard must cut them off.
+	for _, e := range []LSA{
+		{Origin: 5, Seq: 9, Neighbors: []Adjacency{{1, 0}, {2, 1}}},
+		{Origin: 7, Seq: 1},
+	} {
+		f.Add(Envelope(ProtoControl, append(MarshalLSA(e), 0xde, 0xad, MsgLSA)))
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
@@ -115,12 +124,32 @@ func FuzzFrame(f *testing.F) {
 				}
 			case MsgLSA:
 				e, err := UnmarshalLSA(body)
+				origin, seq, n, perr := PeekLSA(body)
+				if (err == nil) != (perr == nil) {
+					t.Fatalf("PeekLSA err %v, UnmarshalLSA err %v on %x", perr, err, body)
+				}
 				if err != nil {
 					return
 				}
+				if origin != e.Origin || seq != e.Seq {
+					t.Fatalf("PeekLSA (%d, %d), UnmarshalLSA (%d, %d) on %x", origin, seq, e.Origin, e.Seq, body)
+				}
 				out := MarshalLSA(e)
+				if n != len(out) {
+					t.Fatalf("PeekLSA length %d, re-marshal is %d bytes: %x", n, len(out), body)
+				}
 				if !bytes.Equal(out, body[:len(out)]) {
 					t.Fatalf("LSA round trip: %x -> %x", body, out)
+				}
+				// A reused buffer that is dirty and larger than the
+				// list must decode exactly as a fresh one.
+				dirty := make([]Adjacency, len(e.Neighbors)+3, len(e.Neighbors)+8)
+				for i := range dirty {
+					dirty[i] = Adjacency{Node: 0xffff, Rail: uint16(i)}
+				}
+				r, err := UnmarshalLSAInto(body, dirty)
+				if err != nil || r.Origin != e.Origin || r.Seq != e.Seq || !slices.Equal(r.Neighbors, e.Neighbors) {
+					t.Fatalf("decode into reused buffer: %+v, %v; fresh %+v", r, err, e)
 				}
 			}
 		}
